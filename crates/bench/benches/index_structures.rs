@@ -1,37 +1,11 @@
-//! Criterion benchmark for the index structures: the in-DRAM red-black
-//! ModelMap and the persistent allocator + MIndex operations.
+//! Criterion benchmark for the persistent index structures: the
+//! allocator + MIndex operations.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use portus::{Index, ModelMap};
+use portus::Index;
 use portus_dnn::{DType, TensorMeta};
 use portus_pmem::{PmemDevice, PmemMode};
 use portus_sim::SimContext;
-
-fn bench_model_map(c: &mut Criterion) {
-    let mut group = c.benchmark_group("model_map");
-
-    group.bench_function("insert_1000", |b| {
-        b.iter(|| {
-            let mut map = ModelMap::new();
-            for i in 0..1000u64 {
-                map.insert(format!("model-{i:04}"), i);
-            }
-            map
-        });
-    });
-
-    let mut map = ModelMap::new();
-    for i in 0..1000u64 {
-        map.insert(format!("model-{i:04}"), i);
-    }
-    group.bench_function("lookup_hit", |b| {
-        b.iter(|| map.get("model-0777"));
-    });
-    group.bench_function("ordered_walk", |b| {
-        b.iter(|| map.iter().count());
-    });
-    group.finish();
-}
 
 fn bench_persistent_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("persistent_index");
@@ -63,5 +37,5 @@ fn bench_persistent_index(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_model_map, bench_persistent_index);
+criterion_group!(benches, bench_persistent_index);
 criterion_main!(benches);

@@ -17,6 +17,7 @@ const BINS: &[&str] = &[
     "advisor",
     "models_sweep",
     "fleet_sweep",
+    "qos_sweep",
     "catalog_sweep",
     // Real-data-plane experiments last (the heavy ones).
     "table1_breakdown",

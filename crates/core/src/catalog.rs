@@ -1,8 +1,8 @@
 //! The million-model catalog: a paged on-PMem name index with a
 //! learned root (ROADMAP item 3).
 //!
-//! The paper-scale daemon mirrors the whole ModelTable into a DRAM
-//! red-black tree ([`crate::ModelMap`]) and scans the fixed table
+//! The paper-scale daemon mirrors the whole ModelTable into an ordered
+//! DRAM name map (a `BTreeMap`) and scans the fixed table
 //! linearly — fine for dozens of models, hopeless for a fleet serving
 //! millions. The catalog replaces both with an AirIndex-style two-level
 //! structure kept entirely on PMem behind the shared allocator:

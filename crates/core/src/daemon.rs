@@ -46,7 +46,7 @@
 //! striped datapath confines concurrent tenants to weighted-fair lane
 //! shares.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
 use std::thread::JoinHandle;
@@ -63,9 +63,7 @@ use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord
 
 use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState, TenantCtx};
-use crate::{
-    Index, MIndex, ModelMap, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure,
-};
+use crate::{Index, MIndex, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -148,10 +146,10 @@ pub struct DaemonConfig {
     pub dedup: Option<crate::DedupConfig>,
     /// Paged on-PMem model catalog with a learned root (ROADMAP item
     /// 3). `None` (the default) keeps name resolution on the unbounded
-    /// DRAM [`ModelMap`] mirror — bit-for-bit the pre-catalog daemon.
+    /// DRAM name map — bit-for-bit the pre-catalog daemon.
     /// `Some` formats (or recovers) the catalog on the namespace,
     /// routes every name lookup through it (one bounded page probe
-    /// under a clamped DRAM page cache), and leaves the ModelMap
+    /// under a clamped DRAM page cache), and leaves the name map
     /// empty, so daemon DRAM stays O(cache) no matter how many models
     /// the namespace holds.
     pub catalog: Option<crate::CatalogConfig>,
@@ -398,7 +396,9 @@ impl QpPool {
 pub(crate) struct DaemonState {
     pub(crate) ctx: SimContext,
     pub(crate) index: Index,
-    pub(crate) map: Mutex<ModelMap>,
+    /// The DRAM name map (model name → MIndex offset), empty when the
+    /// catalog owns name resolution.
+    pub(crate) map: Mutex<BTreeMap<String, u64>>,
     pub(crate) sessions: Mutex<HashMap<String, Vec<TensorDesc>>>,
     model_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     pub(crate) cfg: DaemonConfig,
@@ -460,11 +460,11 @@ impl PortusDaemon {
         cfg: DaemonConfig,
     ) -> PortusResult<Arc<PortusDaemon>> {
         let index = Index::format(dev, cfg.table_capacity, cfg.alloc_slots)?;
-        Self::with_index(fabric, node, index, ModelMap::new(), cfg)
+        Self::with_index(fabric, node, index, BTreeMap::new(), cfg)
     }
 
     /// Starts a daemon over an **existing** namespace, rebuilding the
-    /// ModelMap from the persistent ModelTable (restart-after-crash).
+    /// name map from the persistent ModelTable (restart-after-crash).
     ///
     /// # Errors
     ///
@@ -483,7 +483,7 @@ impl PortusDaemon {
         fabric: &Fabric,
         node: NodeId,
         index: Index,
-        map: ModelMap,
+        map: BTreeMap<String, u64>,
         cfg: DaemonConfig,
     ) -> PortusResult<Arc<PortusDaemon>> {
         let nic = fabric.nic(node)?;
@@ -503,7 +503,7 @@ impl PortusDaemon {
         // this process can be pulling into it. Only these slots are
         // eligible for aggressive (`reclaim_active`) repacking.
         let mut stale_active = HashSet::new();
-        for (_name, off) in map.iter() {
+        for &off in map.values() {
             let mi = index.load_mindex(off)?;
             for (s, hdr) in mi.slots.iter().enumerate() {
                 if hdr.state == SlotState::Active {
@@ -521,11 +521,10 @@ impl PortusDaemon {
             index.enable_catalog(c)?;
             let cat = index.catalog().expect("enable_catalog mounts the catalog");
             if cat.is_empty() && !map.is_empty() {
-                let live: Vec<(String, u64)> =
-                    map.iter().map(|(k, v)| (k.to_string(), v)).collect();
+                let live: Vec<(String, u64)> = map.into_iter().collect();
                 cat.bulk_replace(index.allocator(), &live)?;
             }
-            ModelMap::new()
+            BTreeMap::new()
         } else {
             map
         };
@@ -652,7 +651,7 @@ impl PortusDaemon {
     }
 
     /// Stored-model count (diagnostic): the catalog's entry count when
-    /// one owns name resolution, the in-DRAM ModelMap size otherwise.
+    /// one owns name resolution, the DRAM name map's size otherwise.
     pub fn model_count(&self) -> usize {
         match self.state.catalog() {
             Some(cat) => cat.len() as usize,
@@ -753,6 +752,17 @@ fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
         }
         _ => None,
     }
+}
+
+/// Approximate DRAM footprint of the name map for the `model_map_bytes`
+/// gauge: one `(String, u64)` entry per model plus each key's heap
+/// capacity. It ignores the B-tree's node overhead. It shows the map
+/// growing with the model population, or pinned at zero when the
+/// catalog owns name resolution.
+fn map_bytes(map: &BTreeMap<String, u64>) -> u64 {
+    let entries = map.len() * std::mem::size_of::<(String, u64)>();
+    let keys: usize = map.keys().map(String::capacity).sum();
+    (entries + keys) as u64
 }
 
 fn session_bytes(state: &DaemonState, model: &str, dirty: Option<&[bool]>) -> u64 {
@@ -1234,7 +1244,7 @@ impl DaemonState {
         }
         self.ctx
             .metrics
-            .set_model_map_bytes(self.map.lock().approx_bytes());
+            .set_model_map_bytes(map_bytes(&self.map.lock()));
         if let Some(cat) = self.catalog() {
             let s = cat.stats();
             self.ctx.metrics.set_catalog(
@@ -1336,7 +1346,7 @@ impl DaemonState {
     /// The mounted catalog, when this daemon is configured to use it.
     /// A recovered namespace may carry a catalog the operator chose not
     /// to enable; the config gate keeps such a daemon byte-for-byte on
-    /// the ModelMap path.
+    /// the name-map path.
     pub(crate) fn catalog(&self) -> Option<&crate::Catalog> {
         if self.cfg.catalog.is_some() {
             self.index.catalog()
@@ -1347,30 +1357,25 @@ impl DaemonState {
 
     /// Resolves a model name to its MIndex offset through whichever
     /// structure owns name resolution: the paged on-PMem catalog when
-    /// enabled, the DRAM ModelMap mirror otherwise.
+    /// enabled, the DRAM name map otherwise.
     pub(crate) fn resolve_model(&self, model: &str) -> PortusResult<Option<u64>> {
         match self.catalog() {
             Some(cat) => cat.lookup(model),
-            None => Ok(self.map.lock().get(model)),
+            None => Ok(self.map.lock().get(model).copied()),
         }
     }
 
     /// [`DaemonState::resolve_model`] + MIndex load. Datapath callers
     /// pass their span so catalog-enabled daemons attribute the paged
-    /// probe to [`Stage::CatalogLookup`]; the ModelMap path records
-    /// nothing (a DRAM tree walk charges no virtual time).
+    /// probe to [`Stage::CatalogLookup`]; the name-map path records
+    /// nothing (a DRAM map lookup charges no virtual time).
     fn lookup(&self, model: &str, sc: Option<&SpanCtx<'_>>) -> PortusResult<MIndex> {
-        let off = if let Some(cat) = self.catalog() {
-            let t0 = self.ctx.clock.now();
-            let off = cat.lookup(model)?;
-            if let Some(sc) = sc {
-                sc.record_now(Stage::CatalogLookup, t0);
-            }
-            off
-        } else {
-            self.map.lock().get(model)
+        let t0 = self.ctx.clock.now();
+        let off = self.resolve_model(model)?;
+        if let (Some(sc), Some(_)) = (sc, self.catalog()) {
+            sc.record_now(Stage::CatalogLookup, t0);
         }
-        .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
+        let off = off.ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
         self.index.load_mindex(off)
     }
 
@@ -1393,57 +1398,43 @@ impl DaemonState {
         Ok(())
     }
 
-    /// Checksums a slot, charging the DAX read of the slot's bytes and
+    /// Runs one full-region integrity pass over a slot (`pass` reads
+    /// it off PMem), charging the DAX read of the slot's bytes and
     /// recording the phase time on the stats and a `Checksum` span on
     /// `sc`.
-    fn checksum_phase(&self, mi: &MIndex, slot: usize, sc: &SpanCtx<'_>) -> PortusResult<u64> {
+    fn integrity_phase<T>(
+        &self,
+        mi: &MIndex,
+        sc: &SpanCtx<'_>,
+        pass: impl FnOnce() -> PortusResult<T>,
+    ) -> PortusResult<T> {
         let t0 = self.ctx.clock.now();
-        let sum = self.index.slot_checksum(mi, slot)?;
+        let out = pass()?;
         self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
         self.ctx
             .stats
             .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
         sc.record_now(Stage::Checksum, t0);
-        Ok(sum)
+        Ok(out)
     }
 
-    /// [`DaemonState::checksum_phase`] for digest-sealed slots
-    /// ([`crate::CKSUM_KIND_DIGEST`]): recomputes the positional digest
-    /// of the region at the same DAX read charge.
-    fn digest_phase(&self, mi: &MIndex, slot: usize, sc: &SpanCtx<'_>) -> PortusResult<u64> {
-        let t0 = self.ctx.clock.now();
-        let digest = self.index.slot_digest(mi, slot)?;
-        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
-        self.ctx
-            .stats
-            .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Checksum, t0);
-        Ok(digest)
-    }
-
-    /// Verifies a `Done` slot before serving a restore, dispatching on
-    /// how the sealing write path validated it: digest-sealed slots
-    /// (striped checkpoints) recompute the positional digest; FNV
-    /// slots (classic checkpoints, and any header written before the
-    /// striped datapath existed) recompute the sequential checksum.
-    /// Both paths charge the same full-region DAX read.
+    /// Verifies a `Done` slot before serving a restore with
+    /// [`Index::slot_intact`]: digest-sealed slots (striped
+    /// checkpoints) recompute the positional digest, FNV slots (classic
+    /// checkpoints, and any header written before the striped datapath
+    /// existed) the sequential checksum. Both charge the same
+    /// full-region DAX read.
     fn verify_slot(
         &self,
         mi: &MIndex,
         slot: usize,
-        hdr: &SlotHeader,
         model: &str,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
-        let ok = if hdr.cksum_kind == crate::CKSUM_KIND_DIGEST {
-            self.digest_phase(mi, slot, sc)? == hdr.digest
-        } else {
-            self.checksum_phase(mi, slot, sc)? == hdr.checksum
-        };
-        if !ok {
+        if !self.integrity_phase(mi, sc, || self.index.slot_intact(mi, slot))? {
             return Err(PortusError::ChecksumMismatch {
                 model: model.to_string(),
-                version: hdr.version,
+                version: mi.slots[slot].version,
             });
         }
         Ok(())
@@ -1766,7 +1757,7 @@ impl DaemonState {
             self.persist_phase(hdr.data_off, hdr.data_len, sc)
         };
         let sealed = persisted
-            .and_then(|()| self.checksum_phase(mi, slot, sc))
+            .and_then(|()| self.integrity_phase(mi, sc, || self.index.slot_checksum(mi, slot)))
             .and_then(|checksum| {
                 let t0 = self.ctx.clock.now();
                 let done = self.index.mark_slot_done(mi, slot, checksum);
@@ -2288,7 +2279,7 @@ impl DaemonState {
 
         let pushed = (|| -> PortusResult<SimDuration> {
             if self.cfg.verify_on_restore {
-                self.verify_slot(&mi, slot, &hdr, model, &sc)?;
+                self.verify_slot(&mi, slot, model, &sc)?;
             }
 
             let t_build = self.ctx.clock.now();
@@ -2357,28 +2348,10 @@ impl DaemonState {
     }
 
     pub(crate) fn list_models(&self) -> PortusResult<Vec<ModelSummary>> {
-        let offsets: Vec<(String, u64)> = match self.catalog() {
-            Some(cat) => cat.scan()?,
-            None => self
-                .map
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+        let offsets: Vec<u64> = match self.catalog() {
+            Some(cat) => cat.scan()?.into_iter().map(|(_, off)| off).collect(),
+            None => self.map.lock().values().copied().collect(),
         };
-        let mut out = Vec::with_capacity(offsets.len());
-        for (name, off) in offsets {
-            let mi = self.index.load_mindex(off)?;
-            out.push(ModelSummary {
-                name,
-                layers: mi.tensors.len() as u32,
-                bytes: mi.total_bytes,
-                latest_version: mi.latest_done().map(|(_, s)| s.version),
-                valid_versions: mi.valid_versions(),
-                done_versions: mi.done_versions(),
-                complete: mi.flags & crate::FLAG_JOB_COMPLETE != 0,
-            });
-        }
-        Ok(out)
+        ModelSummary::load_all(&self.index, offsets)
     }
 }

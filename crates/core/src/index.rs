@@ -24,7 +24,7 @@
 //!    persisted — so recovery trusts exactly the `Done` slots.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
@@ -32,7 +32,7 @@ use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice, Pmem
 
 use crate::catalog::{Catalog, CatalogConfig};
 use crate::dedup::read_extent_map;
-use crate::{ModelMap, PortusError, PortusResult};
+use crate::{PortusError, PortusResult};
 
 const SUPER_MAGIC: u64 = 0x504F_5254_5553_5342; // "PORTUSSB"
 const MINDEX_MAGIC: u32 = 0x4D49_4458; // "MIDX"
@@ -371,9 +371,9 @@ impl Index {
     }
 
     /// Recovers the index from a previously formatted namespace and
-    /// rebuilds the in-DRAM [`ModelMap`]. Allocations not *reachable*
-    /// from any live table entry (leaked by a crash mid-registration or
-    /// mid-ingest) are freed. Reachability is by offset, never by
+    /// rebuilds the in-DRAM name map (model name → MIndex offset).
+    /// Allocations not *reachable* from any live table entry (leaked by
+    /// a crash mid-registration or mid-ingest) are freed. Reachability is by offset, never by
     /// name-hash tag alone: two live models whose names collide in
     /// FNV-1a share a tag, and a tag-only sweep would free the
     /// survivor's regions when either is removed.
@@ -390,7 +390,7 @@ impl Index {
     ///
     /// [`PortusError::Daemon`] on bad magic; corruption errors from the
     /// allocator.
-    pub fn recover(dev: Arc<PmemDevice>) -> PortusResult<(Index, ModelMap)> {
+    pub fn recover(dev: Arc<PmemDevice>) -> PortusResult<(Index, BTreeMap<String, u64>)> {
         if typed::read_u64(&dev, 0)? != SUPER_MAGIC {
             return Err(PortusError::Daemon("bad superblock magic".into()));
         }
@@ -407,7 +407,7 @@ impl Index {
             catalog: OnceLock::new(),
         };
 
-        let mut map = ModelMap::new();
+        let mut map = BTreeMap::new();
         let mut reachable: HashSet<u64> = HashSet::new();
         let mut ext_maps: Vec<u64> = Vec::new();
         for slot in 0..table_cap {
@@ -480,7 +480,7 @@ impl Index {
         if typed::read_u64(&index.dev, SUPER_CAT_OFF)? != 0 {
             let cat =
                 Catalog::recover(index.dev.clone(), SUPER_CAT_OFF, &CatalogConfig::default())?;
-            let live: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
+            let live: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
             cat.reconcile(&index.alloc, &live)?;
             reachable.insert(cat.root_offset());
             for off in cat.page_offsets()? {
@@ -1053,6 +1053,22 @@ impl Index {
         })
     }
 
+    /// Recomputes a slot's integrity word the way the slot was sealed
+    /// (the positional digest for [`CKSUM_KIND_DIGEST`] slots, FNV-1a
+    /// otherwise) and compares it with the header's stored word.
+    ///
+    /// # Errors
+    ///
+    /// Device errors.
+    pub fn slot_intact(&self, mi: &MIndex, slot: usize) -> PortusResult<bool> {
+        let hdr = mi.slots[slot];
+        Ok(if hdr.cksum_kind == CKSUM_KIND_DIGEST {
+            self.slot_digest(mi, slot)? == hdr.digest
+        } else {
+            self.slot_checksum(mi, slot)? == hdr.checksum
+        })
+    }
+
     /// Removes a model: clears its table entry first (so recovery never
     /// sees it again), then frees its allocations. Ownership is decided
     /// by the offsets the model's own MIndex references — **never** by
@@ -1282,7 +1298,7 @@ mod tests {
 
         let (index2, map) = Index::recover(dev).unwrap();
         assert_eq!(map.len(), 2);
-        let mi = index2.load_mindex(map.get("beta").unwrap()).unwrap();
+        let mi = index2.load_mindex(map["beta"]).unwrap();
         assert_eq!(mi.tensors.len(), 3);
     }
 
@@ -1314,7 +1330,7 @@ mod tests {
 
         let (index2, map) = Index::recover(dev).unwrap();
         assert_eq!(map.len(), 1);
-        assert!(map.contains("real"));
+        assert!(map.contains_key("real"));
         // The claimed entry was rolled back and is reusable.
         index2.create_model("second", &metas(1, 64)).unwrap();
     }

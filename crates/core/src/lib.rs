@@ -10,8 +10,10 @@
 //!   model to the server over a TCP control channel.
 //! * [`PortusDaemon`] — the user-space storage server: maintains the
 //!   three-level persistent index ([`Index`]: ModelTable → MIndex →
-//!   TensorData) on devdax PMem, mirrored in DRAM by the red-black
-//!   [`ModelMap`], and serves checkpoints with one-sided RDMA READs and
+//!   TensorData) on devdax PMem, mirrored in DRAM by an ordered name
+//!   map. The paper uses a red-black tree for this mirror only to get
+//!   ordered lookup by name, so std's `BTreeMap` keeps the contract.
+//!   The daemon serves checkpoints with one-sided RDMA READs and
 //!   restores with one-sided WRITEs.
 //! * Double-mapping crash consistency (§III-D2): two slots per model;
 //!   at least one complete version always survives any crash.
@@ -73,7 +75,6 @@ mod daemon;
 mod dedup;
 mod error;
 mod index;
-mod model_map;
 pub mod portusctl;
 mod proto;
 pub mod qos;
@@ -89,7 +90,6 @@ pub use index::{
     combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
     CKSUM_KIND_DIGEST, CKSUM_KIND_FNV, FLAG_JOB_COMPLETE, SLOT_COUNT,
 };
-pub use model_map::{Iter, ModelMap};
 pub use proto::{ModelSummary, Reply, Request, TensorDesc};
 pub use qos::{QosConfig, TenantQos, TokenBucket};
 pub use repack::{repack, RepackReport};

@@ -9,6 +9,7 @@
 //! renders a [`MetricsSnapshot`] (as exported by the daemon's `Stats`
 //! request) into a per-stage latency table.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -18,7 +19,7 @@ use portus_pmem::load_image;
 use portus_sim::{MetricsSnapshot, SimContext, SimDuration};
 
 use crate::proto::ModelSummary;
-use crate::{Index, ModelMap, PortusError, PortusResult};
+use crate::{Index, PortusError, PortusResult};
 
 /// Result of a `portusctl dump`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,61 +34,67 @@ pub struct DumpReport {
     pub tensors: usize,
 }
 
-fn open_index(image: &Path) -> PortusResult<(Index, ModelMap)> {
+fn open_index(image: &Path) -> PortusResult<(Index, BTreeMap<String, u64>)> {
     let dev = load_image(SimContext::icdcs24(), image)?;
     Index::recover(dev)
 }
 
 /// `portusctl view DEVICE`: lists all models stored on the device image
-/// at `image`.
+/// at `image`, in name order.
 ///
 /// # Errors
 ///
 /// Image/recovery failures.
 pub fn view(image: &Path) -> PortusResult<Vec<ModelSummary>> {
     let (index, map) = open_index(image)?;
-    let mut out = Vec::with_capacity(map.len());
-    for (name, off) in map.iter() {
-        let mi = index.load_mindex(off)?;
-        out.push(ModelSummary {
-            name: name.to_string(),
-            layers: mi.tensors.len() as u32,
-            bytes: mi.total_bytes,
-            latest_version: mi.latest_done().map(|(_, s)| s.version),
-            valid_versions: mi.valid_versions(),
-            done_versions: mi.done_versions(),
-            complete: mi.flags & crate::FLAG_JOB_COMPLETE != 0,
-        });
-    }
-    Ok(out)
+    ModelSummary::load_all(&index, map.into_values())
 }
 
 /// `portusctl dump DEVICE MODEL FILE`: extracts the latest complete
 /// checkpoint of `model` from the device image into a portable
 /// container at `out`.
 ///
+/// An extent-mapped (dedup) version is first rebuilt into a scratch
+/// region by the same code restore uses. Either way the exported bytes
+/// are checked against the slot's integrity word before the file is
+/// written.
+///
 /// # Errors
 ///
 /// [`PortusError::ModelNotFound`] / [`PortusError::NoValidCheckpoint`]
-/// when the model or a complete version is missing, plus image and
-/// container errors.
+/// when the model or a complete version is missing,
+/// [`PortusError::ChecksumMismatch`] when the stored bytes fail
+/// verification, plus image and container errors.
 pub fn dump(image: &Path, model: &str, out: &Path) -> PortusResult<DumpReport> {
     let (index, map) = open_index(image)?;
-    let off = map
+    let off = *map
         .get(model)
         .ok_or_else(|| PortusError::ModelNotFound(model.to_string()))?;
-    let mi = index.load_mindex(off)?;
-    let (_slot, hdr) = mi
+    let mut mi = index.load_mindex(off)?;
+    let (slot, hdr) = mi
         .latest_done()
         .ok_or_else(|| PortusError::NoValidCheckpoint(model.to_string()))?;
 
+    // An extent-mapped version has no plain region: rebuild one, as
+    // restore does. The scratch region lives only in this in-memory
+    // copy of the image, which is never written back, so it is not
+    // freed.
+    if hdr.ext_map != 0 {
+        mi.slots[slot].data_off = crate::dedup::materialize_slot(&index, &mi, slot)?
+            .region
+            .offset;
+    }
+    if !index.slot_intact(&mi, slot)? {
+        return Err(PortusError::ChecksumMismatch {
+            model: model.to_string(),
+            version: hdr.version,
+        });
+    }
+    let data_off = mi.slots[slot].data_off;
     let mut entries = Vec::with_capacity(mi.tensors.len());
     for rec in &mi.tensors {
-        let len = rec.meta.size_bytes();
-        let mut payload = vec![0u8; len as usize];
-        index
-            .device()
-            .read(hdr.data_off + rec.rel_off, &mut payload)?;
+        let mut payload = vec![0u8; rec.meta.size_bytes() as usize];
+        index.device().read(data_off + rec.rel_off, &mut payload)?;
         entries.push(CheckpointEntry {
             meta: rec.meta.clone(),
             data: PayloadSource::Bytes(payload),
@@ -313,8 +320,8 @@ pub fn render_space(snapshot: &MetricsSnapshot) -> String {
 
 /// Renders the model-catalog view `portusctl catalog` prints: the
 /// paged on-PMem catalog's page/entry counts, the DRAM page cache's
-/// hit/miss counters and clamped footprint, and the ModelMap mirror's
-/// DRAM bytes — side by side, so an operator can see what enabling the
+/// hit/miss counters and clamped footprint, and the name map's DRAM
+/// bytes — side by side, so an operator can see what enabling the
 /// catalog bought (mirror pinned at ~0) or what it would buy (mirror
 /// growing with the model population).
 pub fn render_catalog(snapshot: &MetricsSnapshot) -> String {
@@ -357,7 +364,7 @@ pub fn render_catalog(snapshot: &MetricsSnapshot) -> String {
         snapshot.model_map_bytes
     ));
     if snapshot.catalog_pages == 0 && snapshot.catalog_entries == 0 {
-        out.push_str("(no catalog gauges recorded — daemon runs on the ModelMap mirror)\n");
+        out.push_str("(no catalog gauges recorded — daemon runs on the DRAM name map)\n");
     }
     out
 }

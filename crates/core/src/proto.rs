@@ -10,6 +10,8 @@ use portus_dnn::{DType, GpuTensor, TensorMeta};
 use portus_rdma::MemoryRegion;
 use portus_sim::{MetricsSnapshot, SimDuration};
 
+use crate::{Index, PortusResult};
+
 /// One tensor's registration: its metadata plus the remote key of the
 /// GPU memory region holding it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,6 +159,32 @@ pub struct ModelSummary {
     pub done_versions: Vec<u64>,
     /// Whether the training job was marked complete.
     pub complete: bool,
+}
+
+impl ModelSummary {
+    /// Summarizes the models whose MIndex records sit at `offsets`, in
+    /// the order given. This is the one builder behind both the daemon's
+    /// `List` reply and `portusctl view`.
+    pub(crate) fn load_all(
+        index: &Index,
+        offsets: impl IntoIterator<Item = u64>,
+    ) -> PortusResult<Vec<ModelSummary>> {
+        offsets
+            .into_iter()
+            .map(|off| {
+                let mi = index.load_mindex(off)?;
+                Ok(ModelSummary {
+                    layers: mi.tensors.len() as u32,
+                    bytes: mi.total_bytes,
+                    latest_version: mi.latest_done().map(|(_, s)| s.version),
+                    valid_versions: mi.valid_versions(),
+                    done_versions: mi.done_versions(),
+                    complete: mi.flags & crate::FLAG_JOB_COMPLETE != 0,
+                    name: mi.name,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Daemon → client messages.

@@ -340,8 +340,9 @@ pub struct MetricsSnapshot {
     /// Approximate DRAM bytes the clamped catalog page cache holds.
     #[serde(default)]
     pub catalog_cache_bytes: u64,
-    /// Approximate DRAM bytes of the daemon's ModelMap mirror (zero
-    /// when the catalog owns name resolution and the mirror is empty).
+    /// Approximate DRAM bytes of the daemon's name map, an ordered
+    /// `BTreeMap` (zero when the catalog owns name resolution and the
+    /// map is empty).
     #[serde(default)]
     pub model_map_bytes: u64,
 }
@@ -643,7 +644,7 @@ impl Metrics {
             .store(cache_bytes, Ordering::Relaxed);
     }
 
-    /// Refreshes the DRAM footprint gauge of the daemon's ModelMap.
+    /// Refreshes the DRAM footprint gauge of the daemon's name map.
     pub fn set_model_map_bytes(&self, bytes: u64) {
         self.inner.model_map_bytes.store(bytes, Ordering::Relaxed);
     }

@@ -92,7 +92,8 @@ pub enum Stage {
     Repack,
     /// Resolving a model name through the paged on-PMem catalog
     /// (learned-root predict + bounded page probe). Catalog-enabled
-    /// daemons only; the DRAM ModelMap resolves in zero virtual time.
+    /// daemons only; the ordered DRAM name map (a `BTreeMap`) resolves
+    /// in zero virtual time.
     CatalogLookup,
     /// The whole daemon-side operation, end to end.
     Total,

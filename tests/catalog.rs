@@ -5,13 +5,17 @@
 //! Invariants under test:
 //!
 //! * `catalog: None` daemons never touch the catalog path — the DRAM
-//!   ModelMap mirror keeps owning name resolution.
+//!   name map keeps owning name resolution.
 //! * Catalog-enabled daemons resolve every name through the paged
-//!   on-PMem structure; the ModelMap mirror stays empty.
+//!   on-PMem structure; the name map stays empty.
+//! * Both resolvers list the same names in the same order and restore
+//!   the same bytes.
 //! * After any crash, recovery mounts a catalog consistent with the
 //!   authoritative ModelTable (orphans reclaimed, stragglers adopted).
 
-use portus::{CatalogConfig, DaemonConfig, Index, PortusClient, PortusDaemon, PortusError};
+use portus::{
+    CatalogConfig, DaemonConfig, Index, ModelSummary, PortusClient, PortusDaemon, PortusError,
+};
 use portus_dnn::{test_spec, Materialization, ModelInstance, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{micropage, CrashSpec, PmemDevice, PmemMode};
@@ -35,7 +39,7 @@ fn metas(n: usize) -> Vec<TensorMeta> {
 
 /// The full client lifecycle — register, checkpoint, restore, list,
 /// drop — works identically with the catalog owning name resolution,
-/// and the daemon's ModelMap mirror stays empty while it does.
+/// and the daemon's DRAM name map stays empty while it does.
 #[test]
 fn catalog_daemon_serves_full_lifecycle_with_bounded_dram() {
     let ctx = SimContext::icdcs24();
@@ -89,7 +93,7 @@ fn catalog_daemon_serves_full_lifecycle_with_bounded_dram() {
 }
 
 /// Restarting a catalog daemon over the same namespace recovers every
-/// model through the persisted catalog; a ModelMap-only restart of the
+/// model through the persisted catalog; a name-map-only restart of the
 /// same namespace also still works (the catalog is opt-in per boot).
 #[test]
 fn catalog_survives_restart_and_stays_optional() {
@@ -121,7 +125,7 @@ fn catalog_survives_restart_and_stays_optional() {
     drop(client2);
     daemon2.shutdown();
 
-    // ModelMap-only restart of the same namespace: the stale catalog on
+    // Name-map-only restart of the same namespace: the stale catalog on
     // media is ignored, the table rebuild serves the model.
     let daemon3 = PortusDaemon::recover(&fabric, NodeId(1), pmem, DaemonConfig::default()).unwrap();
     assert_eq!(daemon3.model_count(), 1);
@@ -174,6 +178,112 @@ fn enabling_the_catalog_on_an_old_namespace_seeds_from_the_table() {
     assert_eq!(snap.catalog_entries, 8);
     assert_eq!(snap.model_map_bytes, 0);
     daemon2.shutdown();
+}
+
+/// What one resolver run observed: the daemon's name-ordered listing
+/// and every model's restored bytes, before and after a restart.
+#[derive(Debug, PartialEq)]
+struct ResolverRun {
+    listed: [Vec<ModelSummary>; 2],
+    restored: [Vec<Vec<Vec<u8>>>; 2],
+}
+
+/// Drives one name set through a daemon under `cfg`: register and
+/// checkpoint every name, drop one and register it again, then list and
+/// restore everything, once live and once after `PortusDaemon::recover`.
+fn resolver_run(cfg: DaemonConfig, names: &[String], reborn: &str) -> ResolverRun {
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let compute = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let gpu = GpuDevice::new(ctx, 0, 1 << 30);
+    let mut models: Vec<ModelInstance> = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let spec = test_spec(name, 2, 4096);
+            ModelInstance::materialize(&spec, &gpu, i as u64 + 1, Materialization::Owned).unwrap()
+        })
+        .collect();
+    let bytes = |m: &ModelInstance| -> Vec<Vec<u8>> {
+        m.tensors().iter().map(|t| t.buffer.to_vec()).collect()
+    };
+
+    let mut daemon = PortusDaemon::start(&fabric, NodeId(1), pmem.clone(), cfg.clone()).unwrap();
+    let client = PortusClient::connect(&daemon, compute.clone());
+    for (name, m) in names.iter().zip(&mut models) {
+        client.register_model(m).unwrap();
+        m.train_step();
+        client.checkpoint(name).unwrap();
+    }
+    let i = names.iter().position(|n| n == reborn).unwrap();
+    client.drop_model(reborn).unwrap();
+    client.register_model(&models[i]).unwrap();
+    models[i].train_step();
+    client.checkpoint(reborn).unwrap();
+    let expect: Vec<Vec<Vec<u8>>> = models.iter().map(bytes).collect();
+    drop(client);
+
+    let mut listed = Vec::new();
+    let mut restored = Vec::new();
+    for boot in 0..2 {
+        if boot == 1 {
+            daemon.shutdown();
+            daemon = PortusDaemon::recover(&fabric, NodeId(1), pmem.clone(), cfg.clone()).unwrap();
+        }
+        let client = PortusClient::connect(&daemon, compute.clone());
+        let summaries = daemon.summaries().unwrap();
+        let order: Vec<&str> = summaries.iter().map(|s| s.name.as_str()).collect();
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        assert_eq!(order, sorted, "boot {boot}: listing is not name-ordered");
+        assert_eq!(daemon.model_count(), names.len());
+        listed.push(summaries);
+        let mut got = Vec::new();
+        for m in &mut models {
+            client.register_model(m).unwrap();
+            m.train_step(); // diverge, so the restore has to move bytes
+            client.restore(m).unwrap();
+            got.push(bytes(m));
+        }
+        assert!(
+            got == expect,
+            "boot {boot}: a restore is not the checkpoint"
+        );
+        restored.push(got);
+    }
+    daemon.shutdown();
+    ResolverRun {
+        listed: listed.try_into().unwrap(),
+        restored: restored.try_into().unwrap(),
+    }
+}
+
+/// The DRAM name map and the paged catalog are two resolvers behind one
+/// daemon API: over names with long shared prefixes, multibyte names
+/// and a drop followed by a re-register, both list the same models in
+/// the same order and restore the same bytes, live and after recovery.
+#[test]
+fn map_and_catalog_resolve_the_same_names() {
+    let deep = "fleet/region-eu-west/cluster-07/tenant-acme/job-llm-pretrain/run-";
+    let names: Vec<String> = [
+        format!("{deep}0001"),
+        format!("{deep}0002"),
+        format!("{deep}0010"),
+        format!("{deep}0001/ema"),
+        "modelα".to_string(),
+        "modelβ".to_string(),
+        "model".to_string(),
+        "modelz".to_string(),
+        "ω-final".to_string(),
+    ]
+    .into();
+    let map = resolver_run(DaemonConfig::default(), &names, "modelα");
+    let catalog = resolver_run(catalog_cfg(), &names, "modelα");
+    assert_eq!(map.listed[0].len(), names.len());
+    assert_eq!(map.listed[0], map.listed[1]);
+    assert_eq!(map, catalog);
 }
 
 // ---------------------------------------------------------------------
@@ -298,15 +408,14 @@ fn recovery_reconciles_catalog_against_the_table() {
     let cat = index2.catalog().expect("catalog remounts");
     assert_eq!(
         cat.lookup("straggler").unwrap(),
-        map.get("straggler"),
+        map.get("straggler").copied(),
         "table-published model adopted by the catalog"
     );
     assert!(cat.lookup("straggler").unwrap().is_some());
     assert_eq!(cat.lookup("stale").unwrap(), None, "stale entry dropped");
     assert_eq!(cat.len(), 11);
     // Catalog and table agree entry for entry.
-    let mut table: Vec<(String, u64)> = map.iter().map(|(k, v)| (k.to_string(), v)).collect();
-    table.sort();
+    let table: Vec<(String, u64)> = map.into_iter().collect();
     assert_eq!(cat.scan().unwrap(), table);
 }
 

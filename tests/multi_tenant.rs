@@ -123,7 +123,7 @@ fn same_connection_serves_multiple_models() {
     }
     let listed = client.list_models().unwrap();
     assert_eq!(listed.len(), 3);
-    // ModelMap iteration is name-ordered.
+    // The name map iterates in name order.
     let names: Vec<&str> = listed.iter().map(|m| m.name.as_str()).collect();
     assert_eq!(names, vec!["m0", "m1", "m2"]);
     for model in &models {

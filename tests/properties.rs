@@ -8,7 +8,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use portus::{name_hash, ModelMap};
+use portus::name_hash;
 use portus_dnn::{DType, TensorMeta};
 use portus_format::{read_checkpoint, write_checkpoint, CheckpointEntry, PayloadSource};
 use portus_mem::MemorySegment;
@@ -116,51 +116,6 @@ proptest! {
         got.sort_by_key(|a| a.offset);
         prop_assert_eq!(got, expect);
         prop_assert_eq!(rec.free_bytes(), free_before);
-    }
-}
-
-// ---------------------------------------------------------------------
-// ModelMap vs reference
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum MapOp {
-    Insert(u8, u64),
-    Remove(u8),
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The red-black ModelMap behaves exactly like BTreeMap and keeps
-    /// its invariants under arbitrary operation sequences.
-    #[test]
-    fn model_map_matches_btreemap(ops in vec(
-        prop_oneof![
-            (any::<u8>(), any::<u64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
-            any::<u8>().prop_map(MapOp::Remove),
-        ],
-        1..200,
-    )) {
-        let mut ours = ModelMap::new();
-        let mut reference = std::collections::BTreeMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    let key = format!("model-{k:03}");
-                    prop_assert_eq!(ours.insert(key.clone(), v), reference.insert(key, v));
-                }
-                MapOp::Remove(k) => {
-                    let key = format!("model-{k:03}");
-                    prop_assert_eq!(ours.remove(&key), reference.remove(&key));
-                }
-            }
-            ours.check_invariants();
-            prop_assert_eq!(ours.len(), reference.len());
-        }
-        let a: Vec<(String, u64)> = ours.iter().map(|(k, v)| (k.to_string(), v)).collect();
-        let b: Vec<(String, u64)> = reference.into_iter().collect();
-        prop_assert_eq!(a, b);
     }
 }
 
@@ -356,10 +311,7 @@ fn run_churn(ops: &[ChurnOp], with_catalog: bool) {
     // A rebuilt-from-media map agrees with the mirror too.
     drop(index);
     let (_index2, map) = Index::recover(pmem).unwrap();
-    assert_eq!(map.len(), mirror.len());
-    for (name, off) in &mirror {
-        assert_eq!(map.get(name), Some(*off));
-    }
+    assert_eq!(map, mirror);
 }
 
 proptest! {

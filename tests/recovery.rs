@@ -1,5 +1,5 @@
 //! Daemon restart and recovery: the persistent index is the only
-//! source of truth; ModelMap, sessions, and versions must all come
+//! source of truth; the name map, sessions, and versions must all come
 //! back from PMem alone.
 
 use portus::{repack, DaemonConfig, PortusClient, PortusDaemon};
@@ -76,7 +76,7 @@ fn recovery_rebuilds_many_models_in_order() {
     assert_eq!(
         order,
         vec!["alpha", "delta", "mango", "zebra"],
-        "ModelMap is ordered"
+        "the name map is ordered"
     );
     assert!(recovered.iter().all(|m| m.latest_version == Some(1)));
 }
