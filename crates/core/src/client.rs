@@ -218,6 +218,9 @@ impl PortusClient {
                 Err(PortusError::Throttled { retry_after_ns })
             }
             Reply::CatalogFull { capacity, .. } => Err(PortusError::CatalogFull { capacity }),
+            Reply::ChecksumMismatch { model, version, .. } => {
+                Err(PortusError::ChecksumMismatch { model, version })
+            }
             ok => Ok(ok),
         }
     }
@@ -435,8 +438,10 @@ impl PortusClient {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] wrapping `NoValidCheckpoint`, checksum
-    /// failures, or structure mismatches.
+    /// [`PortusError::ChecksumMismatch`] when the stored bytes fail the
+    /// daemon's integrity check (nothing is pushed);
+    /// [`PortusError::Daemon`] wrapping `NoValidCheckpoint` or structure
+    /// mismatches.
     pub fn restore(&self, model: &ModelInstance) -> PortusResult<RestoreReport> {
         self.restore_version(model, None)
     }

@@ -889,7 +889,8 @@ fn serve(
 /// Maps a handler error onto the wire. Datapath failures keep their
 /// structure (model, op, per-WQE tensor attribution and retry counts)
 /// so the client can rebuild the typed
-/// [`PortusError::DatapathFailed`]; everything else is rendered into
+/// [`PortusError::DatapathFailed`]; out-of-space, a full catalog and an
+/// integrity mismatch keep theirs too; everything else is rendered into
 /// [`Reply::Error`].
 fn error_reply(req_id: u64, e: PortusError) -> Reply {
     match e {
@@ -914,6 +915,11 @@ fn error_reply(req_id: u64, e: PortusError) -> Reply {
             largest_extent,
         },
         PortusError::CatalogFull { capacity } => Reply::CatalogFull { req_id, capacity },
+        PortusError::ChecksumMismatch { model, version } => Reply::ChecksumMismatch {
+            req_id,
+            model,
+            version,
+        },
         other => Reply::Error {
             req_id,
             message: other.to_string(),
@@ -1181,26 +1187,33 @@ fn drain_cq(
 }
 
 /// Chunked device-local copy within one PMem namespace (the carry-over
-/// path of incremental checkpoints). Returns the positional digest of
-/// the copied bytes keyed at slot-relative `rel_off` — computed from
-/// the bounce buffer the copy already staged through, so a striped
-/// seal gets the extent's digest without a second read pass.
+/// path of incremental checkpoints). With `with_digest` it also
+/// returns the positional digest of the copied bytes keyed at
+/// slot-relative `rel_off` — computed from the bounce buffer the copy
+/// already staged through, so a striped seal gets the extent's digest
+/// without a second read pass. The single-QP seal digests the whole
+/// region afterwards and does not ask.
 fn copy_on_device(
     dev: &PmemDevice,
     src_off: u64,
     dst_off: u64,
     len: u64,
     rel_off: u64,
-) -> PortusResult<u64> {
+    with_digest: bool,
+) -> PortusResult<Option<u64>> {
     crate::index::with_io_buf(|buf| {
         let mut done = 0u64;
-        let mut digest = 0u64;
+        let mut digest = with_digest.then_some(0u64);
         while done < len {
             let chunk = ((len - done) as usize).min(buf.len());
             dev.read(src_off + done, &mut buf[..chunk])?;
             dev.write(dst_off + done, &buf[..chunk])?;
-            digest =
-                crate::combine_digests(digest, crate::region_digest(&buf[..chunk], rel_off + done));
+            if let Some(acc) = digest.as_mut() {
+                *acc = crate::combine_digests(
+                    *acc,
+                    crate::region_digest(&buf[..chunk], rel_off + done),
+                );
+            }
             done += chunk as u64;
         }
         Ok(digest)
@@ -1419,11 +1432,11 @@ impl DaemonState {
     }
 
     /// Verifies a `Done` slot before serving a restore with
-    /// [`Index::slot_intact`]: digest-sealed slots (striped
-    /// checkpoints) recompute the positional digest, FNV slots (classic
-    /// checkpoints, and any header written before the striped datapath
-    /// existed) the sequential checksum. Both charge the same
-    /// full-region DAX read.
+    /// [`Index::slot_intact`]: every seal writes the positional digest,
+    /// which is recomputed here (split across cores for large slots).
+    /// FNV is read-only legacy: a header an earlier build sealed with
+    /// [`crate::CKSUM_KIND_FNV`] is checked with the sequential
+    /// checksum. Both charge the same full-region DAX read.
     fn verify_slot(
         &self,
         mi: &MIndex,
@@ -1738,11 +1751,14 @@ impl DaemonState {
         }
     }
 
-    /// Persists the pulled data, checksums the slot, and flips it to
-    /// `Done`. On any error the slot is rolled back (bytes definitely
-    /// landed by this point) and the original error is returned. An
-    /// empty data region skips the persist phase entirely — no span,
-    /// no counter — instead of flushing a phantom byte.
+    /// Persists the pulled data, digests the slot
+    /// ([`Index::slot_digest`]), and flips it to `Done` with the
+    /// positional digest — the same integrity word the striped seal
+    /// writes; FNV is read-only legacy. On any error the slot is rolled
+    /// back (bytes definitely landed by this point) and the original
+    /// error is returned. An empty data region skips the persist phase
+    /// entirely — no span, no counter — instead of flushing a phantom
+    /// byte.
     fn seal_slot(
         &self,
         mi: &MIndex,
@@ -1757,10 +1773,10 @@ impl DaemonState {
             self.persist_phase(hdr.data_off, hdr.data_len, sc)
         };
         let sealed = persisted
-            .and_then(|()| self.integrity_phase(mi, sc, || self.index.slot_checksum(mi, slot)))
-            .and_then(|checksum| {
+            .and_then(|()| self.integrity_phase(mi, sc, || self.index.slot_digest(mi, slot)))
+            .and_then(|digest| {
                 let t0 = self.ctx.clock.now();
-                let done = self.index.mark_slot_done(mi, slot, checksum);
+                let done = self.index.mark_slot_done(mi, slot, digest);
                 sc.record_now(Stage::HeaderFlip, t0);
                 done
             });
@@ -1779,7 +1795,7 @@ impl DaemonState {
     /// flight on the NIC engines. Per-extent digests
     /// ([`crate::region_digest`]) combine order-independently into the
     /// slot digest the header is sealed with
-    /// ([`Index::mark_slot_done_digest`]); restore recomputes the same
+    /// ([`Index::mark_slot_done`]); restore recomputes the same
     /// value from the region regardless of how the extents were
     /// partitioned. On any error the slot is rolled back exactly as in
     /// [`DaemonState::seal_slot`].
@@ -1858,7 +1874,7 @@ impl DaemonState {
         ctx.metrics
             .set_pipeline_overlap(stage_overlapped, stage_busy);
         let t0 = ctx.clock.now();
-        let done = self.index.mark_slot_done_digest(mi, slot, digest);
+        let done = self.index.mark_slot_done(mi, slot, digest);
         sc.record_now(Stage::HeaderFlip, t0);
         done
     }
@@ -2125,12 +2141,17 @@ impl DaemonState {
         let t0 = ctx.clock.now();
         // Carry-overs first (device-local), then the posted pulls. A
         // striped seal reuses the digest each copy computed from its
-        // bounce buffer, so carried bytes are never read a second time.
+        // bounce buffer, so carried bytes are never read a second time;
+        // the single-QP seal digests the whole region, so its copies
+        // skip the hashing.
         let mut carried = 0u64;
         let mut carry_pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
             let (digest, read_bytes) = match src {
-                CarrySrc::Plain(s) => (copy_on_device(&dev, s, hdr.data_off + rel, len, rel)?, len),
+                CarrySrc::Plain(s) => (
+                    copy_on_device(&dev, s, hdr.data_off + rel, len, rel, striped)?,
+                    len,
+                ),
                 CarrySrc::Extents(map_off) => {
                     let rc = crate::dedup::copy_range_from_extents(
                         &self.index,
@@ -2138,6 +2159,7 @@ impl DaemonState {
                         hdr.data_off,
                         rel,
                         len,
+                        striped,
                     )?;
                     (rc.digest, rc.read_bytes)
                 }
@@ -2150,7 +2172,7 @@ impl DaemonState {
                     rel_off: rel,
                     len,
                     arrival: ctx.clock.now(),
-                    digest: Some(digest),
+                    digest,
                 });
             }
             Ok(())

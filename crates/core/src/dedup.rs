@@ -347,12 +347,14 @@ pub(crate) struct RangeCopy {
     /// Stored bytes read off media (whole touched extents).
     pub read_bytes: u64,
     /// Positional digest of the copied range, keyed by `rel_off` —
-    /// combinable with the pull runs' digests.
-    pub digest: u64,
+    /// combinable with the pull runs' digests. `None` unless asked for.
+    pub digest: Option<u64>,
 }
 
 /// Copies one carry range from an extent-mapped previous version into a
-/// plain target region (volatile; the caller's seal persists it).
+/// plain target region (volatile; the caller's seal persists it). With
+/// `with_digest` the range's positional digest is computed on the way
+/// through, for a seal that combines per-piece digests.
 ///
 /// # Errors
 ///
@@ -364,6 +366,7 @@ pub(crate) fn copy_range_from_extents(
     dst_data_off: u64,
     rel_off: u64,
     len: u64,
+    with_digest: bool,
 ) -> PortusResult<RangeCopy> {
     let store = index
         .extent_store()
@@ -371,7 +374,7 @@ pub(crate) fn copy_range_from_extents(
     if len == 0 {
         return Ok(RangeCopy {
             read_bytes: 0,
-            digest: 0,
+            digest: with_digest.then_some(0),
         });
     }
     let map = read_extent_map(index.device(), map_off)?;
@@ -386,7 +389,7 @@ pub(crate) fn copy_range_from_extents(
     let last = (rel_off + len - 1) / map.chunk_bytes;
     let mut out = Vec::new();
     let mut read_bytes = 0u64;
-    let mut digest = 0u64;
+    let mut digest = with_digest.then_some(0u64);
     for ci in first..=last {
         let ext = map.extents[ci as usize];
         read_bytes += store.read_into(ext, &mut out)?;
@@ -395,7 +398,9 @@ pub(crate) fn copy_range_from_extents(
         let end = (rel_off + len).min(chunk_base + out.len() as u64);
         let piece = &out[(start - chunk_base) as usize..(end - chunk_base) as usize];
         dev.write(dst_data_off + start, piece)?;
-        digest = combine_digests(digest, region_digest(piece, start));
+        if let Some(acc) = digest.as_mut() {
+            *acc = combine_digests(*acc, region_digest(piece, start));
+        }
     }
     Ok(RangeCopy { read_bytes, digest })
 }

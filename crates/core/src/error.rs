@@ -80,6 +80,17 @@ pub enum PortusError {
         /// The version whose data failed verification.
         version: u64,
     },
+    /// An integrity pass was asked to hash an extent-mapped slot in
+    /// place. Such a slot keeps its bytes as dedup extents and has no
+    /// plain data region (`data_off` is 0), so hashing it would read the
+    /// namespace's first bytes. Materialize the slot first, as restore
+    /// and `portusctl dump` do.
+    ExtentMappedSlot {
+        /// The model.
+        model: String,
+        /// The slot index within the model's double mapping.
+        slot: usize,
+    },
     /// An asynchronous checkpoint of the model is already in flight;
     /// wait on it (or call `guard_update`) before starting another.
     AlreadyInFlight(String),
@@ -188,6 +199,12 @@ impl fmt::Display for PortusError {
                 write!(
                     f,
                     "checkpoint {model} v{version} failed integrity verification"
+                )
+            }
+            PortusError::ExtentMappedSlot { model, slot } => {
+                write!(
+                    f,
+                    "{model} slot {slot} is extent-mapped: materialize it before hashing"
                 )
             }
             PortusError::AlreadyInFlight(m) => {

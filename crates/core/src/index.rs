@@ -91,11 +91,16 @@ const SH_CKSUM_KIND: u64 = 48;
 const SH_EXT_MAP: u64 = 56;
 
 /// `cksum_kind`: the slot's integrity word is the legacy sequential
-/// FNV-1a of the data region (in `checksum`).
+/// FNV-1a of the data region (in `checksum`). Read-only legacy: the
+/// daemon no longer seals with it, but [`Index::slot_intact`] still
+/// verifies `Done` headers that earlier builds wrote this way. Headers
+/// that are not `Done` carry it as their cleared value.
 pub const CKSUM_KIND_FNV: u64 = 0;
 /// `cksum_kind`: the slot's integrity word is the order-independent
-/// positional digest (in `digest`), combined incrementally per WQE run
-/// by the striped datapath; `checksum` is 0.
+/// positional digest (in `digest`); `checksum` is 0. Every seal writes
+/// this kind: the striped datapath combines it per WQE run, the
+/// single-QP seal computes it over the region with
+/// [`Index::slot_digest`].
 pub const CKSUM_KIND_DIGEST: u64 = 1;
 
 /// Flag bit: the training job using this model finished (repacker may
@@ -146,7 +151,8 @@ pub struct SlotHeader {
     /// Version number of the checkpoint in this slot.
     pub version: u64,
     /// FNV-1a over the slot's data region (valid when `Done` and
-    /// `cksum_kind == CKSUM_KIND_FNV`).
+    /// `cksum_kind == CKSUM_KIND_FNV`, i.e. only on headers sealed by
+    /// earlier builds; 0 otherwise).
     pub checksum: u64,
     /// Absolute PMem offset of the slot's TensorData region.
     pub data_off: u64,
@@ -300,6 +306,40 @@ pub fn name_hash(name: &str) -> u64 {
 
 /// Size of the reusable device-I/O scratch buffer.
 pub(crate) const IO_BUF_LEN: usize = 256 * 1024;
+
+/// Most cores one slot digest is split across.
+const MAX_DIGEST_LANES: usize = 4;
+
+/// Smallest range worth a lane of its own: below this the thread spawn
+/// is a visible share of the hashing it saves.
+const LANE_MIN_BYTES: u64 = 4 << 20;
+
+/// How many lanes [`Index::slot_digest`] splits a large region across:
+/// the host's available parallelism, capped at [`MAX_DIGEST_LANES`].
+/// Read once — querying it costs a syscall and a cgroup-file parse,
+/// too much to pay on every seal of a small model.
+fn digest_lanes() -> usize {
+    static LANES: OnceLock<usize> = OnceLock::new();
+    *LANES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(MAX_DIGEST_LANES)
+    })
+}
+
+/// The header of `slot` when it has a plain data region to hash. An
+/// extent-mapped slot has `data_off == 0`: hashing "its region" would
+/// read the namespace's first bytes — the superblock and ModelTable.
+fn plain_slot(mi: &MIndex, slot: usize) -> PortusResult<SlotHeader> {
+    let hdr = mi.slots[slot];
+    if hdr.data_off == 0 && hdr.ext_map != 0 {
+        return Err(PortusError::ExtentMappedSlot {
+            model: mi.name.clone(),
+            slot,
+        });
+    }
+    Ok(hdr)
+}
 
 thread_local! {
     /// One scratch buffer per thread for the seal/verify/copy loops;
@@ -796,33 +836,16 @@ impl Index {
         Ok(())
     }
 
-    /// Durably transitions a slot to `Done` with its data checksum.
-    /// Step 3 of the persistence ordering: data must already be
-    /// persisted.
+    /// Durably transitions a slot to `Done`, validated by the positional
+    /// `digest` of its data region ([`CKSUM_KIND_DIGEST`]). Step 3 of the
+    /// persistence ordering: data must already be persisted. The digest
+    /// words share the header's cache line, so the integrity word and
+    /// the state flip cost one 8-byte persist each.
     ///
     /// # Errors
     ///
     /// Device errors.
-    pub fn mark_slot_done(&self, mi: &MIndex, slot: usize, checksum: u64) -> PortusResult<()> {
-        let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, checksum)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
-        typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
-        self.dev.persist(sh + SH_STATE, 8)?;
-        Ok(())
-    }
-
-    /// Durably transitions a slot to `Done` validated by the positional
-    /// `digest` ([`CKSUM_KIND_DIGEST`]) instead of the sequential FNV —
-    /// the form the striped datapath uses after combining per-run
-    /// digests. Same persistence ordering as [`Index::mark_slot_done`];
-    /// the digest words share the header's cache line so the flip costs
-    /// exactly the same flushes.
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    pub fn mark_slot_done_digest(&self, mi: &MIndex, slot: usize, digest: u64) -> PortusResult<()> {
+    pub fn mark_slot_done(&self, mi: &MIndex, slot: usize, digest: u64) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, digest)?;
@@ -1005,13 +1028,16 @@ impl Index {
         Ok(())
     }
 
-    /// FNV-1a checksum of a slot's data region (reads PMem).
+    /// FNV-1a checksum of a slot's data region (reads PMem). Read-only
+    /// legacy: the verifier for [`CKSUM_KIND_FNV`] headers sealed by
+    /// earlier builds; no seal writes this word any more.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
+    /// region; device errors.
     pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
-        let hdr = mi.slots[slot];
+        let hdr = plain_slot(mi, slot)?;
         with_io_buf(|buf| {
             let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
             let mut pos = 0u64;
@@ -1028,38 +1054,85 @@ impl Index {
         })
     }
 
-    /// Positional digest of a slot's data region (reads PMem) — the
-    /// [`CKSUM_KIND_DIGEST`] counterpart of [`Index::slot_checksum`].
-    /// Because [`region_digest`] keys each byte by its slot-relative
-    /// offset and chunks combine with [`combine_digests`], this matches
-    /// the sum of per-run digests the striped datapath sealed with, in
-    /// any order and at any chunking.
+    /// Positional digest of a slot's data region (reads PMem): the word
+    /// every seal writes. Because [`region_digest`] keys each byte by
+    /// its slot-relative offset and chunks combine with
+    /// [`combine_digests`], this matches the sum of per-run digests the
+    /// striped datapath sealed with, in any order and at any chunking —
+    /// and it lets a region of several MiB be hashed in contiguous
+    /// ranges on up to four cores, with a result that is bit-identical
+    /// for any lane count.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
+    /// region; device errors.
     pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
-        let hdr = mi.slots[slot];
-        with_io_buf(|buf| {
-            let mut acc: u64 = 0;
-            let mut pos = 0u64;
-            while pos < hdr.data_len {
-                let chunk = ((hdr.data_len - pos) as usize).min(buf.len());
-                self.dev.read(hdr.data_off + pos, &mut buf[..chunk])?;
-                acc = combine_digests(acc, region_digest(&buf[..chunk], pos));
-                pos += chunk as u64;
-            }
-            Ok(acc)
+        let hdr = plain_slot(mi, slot)?;
+        self.digest_region(hdr.data_off, hdr.data_len, digest_lanes())
+    }
+
+    /// Positional digest of the `len` bytes at `data_off`, keyed from
+    /// slot-relative offset 0, over at most `max_lanes` lanes. The
+    /// region is split into one contiguous range per lane, as many
+    /// lanes as give each at least [`LANE_MIN_BYTES`]; the calling
+    /// thread hashes the first range and scoped threads the rest, each
+    /// through its own 256 KiB buffer. A region too small for two lanes
+    /// takes one sequential pass.
+    fn digest_region(&self, data_off: u64, len: u64, max_lanes: usize) -> PortusResult<u64> {
+        let lanes = max_lanes.min((len / LANE_MIN_BYTES).max(1) as usize);
+        if lanes == 1 {
+            return with_io_buf(|buf| self.digest_range(data_off, 0..len, buf));
+        }
+        let share = len.div_ceil(lanes as u64);
+        let range = |lane: u64| lane * share..((lane + 1) * share).min(len);
+        std::thread::scope(|s| {
+            let rest: Vec<_> = (1..lanes as u64)
+                .map(|lane| {
+                    s.spawn(move || {
+                        self.digest_range(data_off, range(lane), &mut vec![0u8; IO_BUF_LEN])
+                    })
+                })
+                .collect();
+            let first = with_io_buf(|buf| self.digest_range(data_off, range(0), buf));
+            rest.into_iter().fold(first, |acc, lane| {
+                let part = lane
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+                Ok(combine_digests(acc?, part))
+            })
         })
     }
 
+    /// Positional digest of the slot-relative `range` of the region at
+    /// `data_off`, read through `buf`.
+    fn digest_range(
+        &self,
+        data_off: u64,
+        range: std::ops::Range<u64>,
+        buf: &mut [u8],
+    ) -> PortusResult<u64> {
+        let mut acc: u64 = 0;
+        let mut pos = range.start;
+        while pos < range.end {
+            let chunk = ((range.end - pos) as usize).min(buf.len());
+            self.dev.read(data_off + pos, &mut buf[..chunk])?;
+            acc = combine_digests(acc, region_digest(&buf[..chunk], pos));
+            pos += chunk as u64;
+        }
+        Ok(acc)
+    }
+
     /// Recomputes a slot's integrity word the way the slot was sealed
-    /// (the positional digest for [`CKSUM_KIND_DIGEST`] slots, FNV-1a
-    /// otherwise) and compares it with the header's stored word.
+    /// (the positional digest for [`CKSUM_KIND_DIGEST`] slots, the
+    /// legacy FNV-1a for [`CKSUM_KIND_FNV`] headers from earlier builds)
+    /// and compares it with the header's stored word. An extent-mapped
+    /// slot must be materialized into a plain region first.
     ///
     /// # Errors
     ///
-    /// Device errors.
+    /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
+    /// region; device errors.
     pub fn slot_intact(&self, mi: &MIndex, slot: usize) -> PortusResult<bool> {
         let hdr = mi.slots[slot];
         Ok(if hdr.cksum_kind == CKSUM_KIND_DIGEST {
@@ -1409,6 +1482,95 @@ mod tests {
         let d0 = region_digest(&payload[..1500], 0);
         let d1 = region_digest(&payload[1500..], 1500);
         assert_eq!(combine_digests(d1, d0), full);
+    }
+
+    /// FNV-1a as earlier builds sealed with, written out independently
+    /// of [`Index::slot_checksum`].
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn legacy_fnv_done_header_still_verifies() {
+        let (dev, index) = fresh();
+        let mi = index.create_model("old", &metas(1, 4096)).unwrap();
+        let payload: Vec<u8> = (0..4096u32).map(|i| (i * 13 + 1) as u8).collect();
+        let data_off = mi.slots[0].data_off;
+        dev.write(data_off, &payload).unwrap();
+        dev.persist(data_off, payload.len() as u64).unwrap();
+        index.mark_slot_active(&mi, 0, 1).unwrap();
+        // The header an earlier build's FNV seal left: checksum word and
+        // kind persisted first, then the `Done` flip.
+        let sh = mi.offset + MI_SLOT0;
+        typed::write_u64(&dev, sh + SH_CHECKSUM, fnv1a(&payload)).unwrap();
+        typed::write_u64(&dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV).unwrap();
+        dev.persist(sh + SH_CHECKSUM, 8).unwrap();
+        typed::write_u64(&dev, sh + SH_STATE, SlotState::Done.to_u64()).unwrap();
+        dev.persist(sh + SH_STATE, 8).unwrap();
+
+        let mi = index.load_mindex(mi.offset).unwrap();
+        assert_eq!(mi.slots[0].state, SlotState::Done);
+        assert_eq!(mi.slots[0].cksum_kind, CKSUM_KIND_FNV);
+        assert!(
+            index.slot_intact(&mi, 0).unwrap(),
+            "legacy FNV seal verifies"
+        );
+        dev.write(data_off + 1234, &[payload[1234] ^ 0x01]).unwrap();
+        assert!(
+            !index.slot_intact(&mi, 0).unwrap(),
+            "one flipped byte fails"
+        );
+    }
+
+    #[test]
+    fn lane_split_digest_matches_one_sequential_pass() {
+        const M: u64 = LANE_MIN_BYTES;
+        let cases = [
+            // (max lanes, length): just below, at and just above the
+            // two-lane threshold; lengths that are no multiple of the
+            // lane count.
+            (2, 2 * M - 1),
+            (2, 2 * M),
+            (2, 2 * M + 1),
+            (3, 3 * M + 7),
+            (4, 4 * M + 3),
+        ];
+        let len_max = 4 * M + 3;
+        let dev = PmemDevice::new(SimContext::icdcs24(), PmemMode::DevDax, 3 * len_max);
+        let index = Index::format(dev.clone(), 4, 64).unwrap();
+        let mi = index.create_model("big", &metas(1, len_max + 1)).unwrap();
+        let data_off = mi.slots[0].data_off;
+        let data: Vec<u8> = (0..len_max)
+            .map(|i| (i.wrapping_mul(31) >> 3) as u8)
+            .collect();
+        dev.write(data_off, &data).unwrap();
+        // One sequential pass, read off at each case's length.
+        let mut sequential = 0u64;
+        let mut at = 0u64;
+        for (lanes, len) in cases {
+            sequential = combine_digests(
+                sequential,
+                region_digest(&data[at as usize..len as usize], at),
+            );
+            at = len;
+            assert_eq!(
+                index.digest_region(data_off, len, lanes).unwrap(),
+                sequential,
+                "{lanes} lanes over {len} bytes"
+            );
+        }
+        // The tail lane alone, at its non-zero slot-relative base.
+        let len = 3 * M + 7;
+        let tail = 2 * len.div_ceil(3)..len;
+        let mut buf = vec![0u8; IO_BUF_LEN];
+        assert_eq!(
+            index
+                .digest_range(data_off, tail.clone(), &mut buf)
+                .unwrap(),
+            region_digest(&data[tail.start as usize..tail.end as usize], tail.start)
+        );
     }
 
     #[test]

@@ -313,6 +313,18 @@ pub enum Reply {
         /// Total entries the ModelTable was formatted with.
         capacity: u32,
     },
+    /// The stored checkpoint failed its integrity check; nothing was
+    /// pushed. Structured so the client can rebuild
+    /// [`crate::PortusError::ChecksumMismatch`] (which a replicated
+    /// restore fails over on).
+    ChecksumMismatch {
+        /// Echoed request id.
+        req_id: u64,
+        /// The model.
+        model: String,
+        /// The version whose data failed verification.
+        version: u64,
+    },
 }
 
 impl Reply {
@@ -331,7 +343,8 @@ impl Reply {
             | Reply::DatapathFailed { req_id, .. }
             | Reply::Throttled { req_id, .. }
             | Reply::OutOfSpace { req_id, .. }
-            | Reply::CatalogFull { req_id, .. } => *req_id,
+            | Reply::CatalogFull { req_id, .. }
+            | Reply::ChecksumMismatch { req_id, .. } => *req_id,
         }
     }
 }

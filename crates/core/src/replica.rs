@@ -316,6 +316,40 @@ mod tests {
     }
 
     #[test]
+    fn restore_falls_through_a_corrupted_replica() {
+        let r = rig(2);
+        let c = client(&r);
+        let spec = test_spec("bert", 4, 4096);
+        let mut model =
+            ModelInstance::materialize(&spec, &r.gpu, 7, Materialization::Owned).expect("model");
+        c.register_model(&model).expect("register");
+        model.train_step();
+        let saved = model.model_checksum();
+        c.checkpoint("bert").expect("checkpoint");
+
+        // Flip one byte of replica 0's stored version: its integrity
+        // check fails with a typed mismatch, and the restore must fail
+        // over to replica 1.
+        let index = r.daemons[0].index();
+        let (_, off) = index.live_entries().expect("entries")[0];
+        let (_, hdr) = index
+            .load_mindex(off)
+            .expect("mindex")
+            .latest_done()
+            .expect("done");
+        let mut byte = [0u8; 1];
+        index.device().read(hdr.data_off, &mut byte).expect("read");
+        index
+            .device()
+            .write(hdr.data_off, &[!byte[0]])
+            .expect("write");
+        model.train_step();
+        let report = c.restore(&model).expect("failover restore");
+        assert_eq!(report.version, 1);
+        assert_eq!(model.model_checksum(), saved);
+    }
+
+    #[test]
     fn degraded_checkpoint_reports_the_failed_replica() {
         let r = rig(2);
         let c = client(&r);

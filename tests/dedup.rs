@@ -12,7 +12,9 @@
 //! * the repacker sweeps refcount-zero extents, and compressed extents
 //!   (ingest-time or cold) decompress back to the exact bytes.
 
-use portus::{name_hash, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon};
+use portus::{
+    name_hash, repack, DaemonConfig, DedupConfig, PortusClient, PortusDaemon, PortusError,
+};
 use portus_dnn::{test_spec, Materialization, ModelInstance, ModelSpec};
 use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
@@ -192,6 +194,45 @@ fn fine_tunes_share_physical_extents() {
         c.restore(m).unwrap();
         assert_eq!(m.model_checksum(), saved, "{name} restore diverged");
     }
+    let _ = w.ctx;
+}
+
+/// An extent-mapped slot keeps its bytes as extents and has no plain
+/// region (`data_off == 0`), so hashing it in place would read the
+/// namespace's first bytes. The integrity passes refuse it with a typed
+/// error; restore, which materializes the slot first, still verifies.
+#[test]
+fn hashing_an_extent_mapped_slot_in_place_is_a_typed_error() {
+    let w = world_cfg(dedup_cfg());
+    let c = client(&w);
+    let spec = test_spec("mapped", 4, 64 * 1024);
+    let mut m = register(&w, &c, &spec, 3);
+    let saved = m.model_checksum();
+    c.checkpoint("mapped").unwrap();
+
+    let index = w.daemon.index();
+    let (_, off) = index.live_entries().unwrap()[0];
+    let mi = index.load_mindex(off).unwrap();
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_eq!(hdr.data_off, 0, "the version was ingested into extents");
+    assert_ne!(hdr.ext_map, 0);
+    let refused = |r: Result<(), PortusError>| {
+        assert!(
+            matches!(
+                &r,
+                Err(PortusError::ExtentMappedSlot { model, slot: s })
+                    if model == "mapped" && *s == slot
+            ),
+            "{r:?}"
+        );
+    };
+    refused(index.slot_checksum(&mi, slot).map(drop));
+    refused(index.slot_digest(&mi, slot).map(drop));
+    refused(index.slot_intact(&mi, slot).map(drop));
+
+    m.train_step();
+    c.restore(&m).unwrap();
+    assert_eq!(m.model_checksum(), saved);
     let _ = w.ctx;
 }
 

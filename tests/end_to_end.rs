@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, CKSUM_KIND_DIGEST};
 use portus_dnn::{test_spec, Materialization, ModelInstance, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -217,16 +217,57 @@ fn checkpoint_of_updated_model_differs_from_previous_version() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi1 = index.load_mindex(off).unwrap();
     let (s1, h1) = mi1.latest_done().unwrap();
-    let c1 = index.slot_checksum(&mi1, s1).unwrap();
-    assert_eq!(c1, h1.checksum);
+    assert_eq!(h1.cksum_kind, CKSUM_KIND_DIGEST);
+    assert_eq!(index.slot_digest(&mi1, s1).unwrap(), h1.digest);
+    assert!(index.slot_intact(&mi1, s1).unwrap());
 
     model.train_step();
     client.checkpoint("diff").unwrap();
     let mi2 = index.load_mindex(off).unwrap();
     let (s2, h2) = mi2.latest_done().unwrap();
     assert_ne!(s1, s2, "new version must land in the other slot");
-    assert_ne!(
-        h1.checksum, h2.checksum,
-        "content changed, checksum must too"
+    assert_eq!(h2.cksum_kind, CKSUM_KIND_DIGEST);
+    assert!(index.slot_intact(&mi2, s2).unwrap());
+    assert_ne!(h1.digest, h2.digest, "content changed, digest must too");
+}
+
+/// A slot large enough for the daemon to digest it on several cores:
+/// one flipped byte in the last lane's range must still fail the
+/// restore-time integrity pass, and the failed restore must not touch
+/// the client's tensors.
+#[test]
+fn a_flipped_byte_in_the_last_digest_lane_fails_the_restore() {
+    let d = deploy(64 << 20);
+    // 12 MiB: two or three lanes of at least 4 MiB, depending on cores.
+    let spec = test_spec("lanes", 3, 4 << 20);
+    let mut model = ModelInstance::materialize(&spec, &d.gpu, 9, Materialization::Owned).unwrap();
+    let client = d.client();
+    client.register_model(&model).unwrap();
+    client.checkpoint("lanes").unwrap();
+
+    let index = d.daemon.index();
+    let (_, off) = index.live_entries().unwrap()[0];
+    let mi = index.load_mindex(off).unwrap();
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    assert!(index.slot_intact(&mi, slot).unwrap());
+    // The region's last byte lies in the last lane for any lane count.
+    let at = hdr.data_off + hdr.data_len - 1;
+    let mut byte = [0u8; 1];
+    index.device().read(at, &mut byte).unwrap();
+    index.device().write(at, &[byte[0] ^ 0x10]).unwrap();
+
+    model.train_step();
+    let diverged = model.model_checksum();
+    match client.restore(&model) {
+        Err(PortusError::ChecksumMismatch { model: m, version }) => {
+            assert_eq!((m.as_str(), version), ("lanes", 1));
+        }
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
+    }
+    assert_eq!(
+        model.model_checksum(),
+        diverged,
+        "a failed verify must not push any bytes"
     );
 }

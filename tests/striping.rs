@@ -3,7 +3,7 @@
 //! incremental positional digest, and the guarantee that
 //! `qps_per_connection = 1` keeps the classic datapath bit-for-bit.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, CKSUM_KIND_DIGEST, CKSUM_KIND_FNV};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, CKSUM_KIND_DIGEST};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -254,9 +254,9 @@ fn concurrent_striped_checkpoints_double_throughput() {
 
 /// Restore validates checkpoints from **both** write paths: striped
 /// checkpoints seal with the incrementally combined positional digest
-/// (`CKSUM_KIND_DIGEST`), classic ones with the sequential FNV
-/// checksum — `verify_on_restore` recomputes whichever kind the header
-/// says and both round-trip the model bytes exactly.
+/// (`CKSUM_KIND_DIGEST`), classic ones with the same digest computed
+/// over the whole region after the pull — `verify_on_restore`
+/// recomputes it and both round-trip the model bytes exactly.
 #[test]
 fn restore_verifies_both_checksum_kinds() {
     // Striped: header carries a digest, no FNV word.
@@ -290,20 +290,30 @@ fn restore_verifies_both_checksum_kinds() {
     drop(w.client);
     w.daemon.shutdown();
 
-    // Classic: the FNV path still seals and verifies.
-    let (w1, mut m1) = world("fnv", 4, 4096, 1, DaemonConfig::default());
+    // Classic: the single-QP seal writes the same positional digest.
+    let (w1, mut m1) = world("classic", 4, 4096, 1, DaemonConfig::default());
     let saved = m1.model_checksum();
-    w1.client.checkpoint("fnv").unwrap();
+    w1.client.checkpoint("classic").unwrap();
     let index = w1.daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
-    let (_, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_FNV);
-    assert_ne!(hdr.checksum, 0);
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    assert_ne!(hdr.digest, 0);
+    assert_eq!(hdr.checksum, 0, "digest-sealed slots carry no FNV word");
+    assert!(index.slot_intact(&mi, slot).unwrap());
     m1.train_step();
     let r = w1.client.restore(&m1).unwrap();
     assert_eq!(r.version, 1);
     assert_eq!(m1.model_checksum(), saved);
+    // A new version's content seals a different digest.
+    m1.train_step();
+    w1.client.checkpoint("classic").unwrap();
+    let mi = index.load_mindex(off).unwrap();
+    let (slot2, hdr2) = mi.latest_done().unwrap();
+    assert_eq!(hdr2.cksum_kind, CKSUM_KIND_DIGEST);
+    assert!(index.slot_intact(&mi, slot2).unwrap());
+    assert_ne!(hdr2.digest, hdr.digest, "content changed, digest must too");
     drop(w1.client);
     w1.daemon.shutdown();
 }
@@ -324,12 +334,21 @@ fn striping_degrades_gracefully_with_mismatched_engines() {
     drop(w.client);
     w.daemon.shutdown();
 
-    let (w2, model2) = world("classic", 8, 4096, 4, DaemonConfig::default());
+    let (w2, mut model2) = world("classic", 8, 4096, 4, DaemonConfig::default());
     w2.client.checkpoint("classic").unwrap();
     let index = w2.daemon.index();
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
-    assert_eq!(mi.latest_done().unwrap().1.cksum_kind, CKSUM_KIND_FNV);
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    assert!(index.slot_intact(&mi, slot).unwrap());
+    model2.train_step();
+    w2.client.checkpoint("classic").unwrap();
+    let mi = index.load_mindex(off).unwrap();
+    let (slot2, hdr2) = mi.latest_done().unwrap();
+    assert_eq!(hdr2.cksum_kind, CKSUM_KIND_DIGEST);
+    assert!(index.slot_intact(&mi, slot2).unwrap());
+    assert_ne!(hdr2.digest, hdr.digest, "content changed, digest must too");
     drop(model2);
     drop(w2.client);
     w2.daemon.shutdown();
