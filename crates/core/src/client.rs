@@ -363,10 +363,19 @@ impl PortusClient {
     ///
     /// # Errors
     ///
-    /// Daemon-side failures (unregistered model, mask length mismatch);
+    /// [`PortusError::AlreadyInFlight`] while an asynchronous
+    /// checkpoint of `model` is in flight: the mask was reset for that
+    /// pull, and a delta that overtook it on another dispatch worker
+    /// would carry the clean tensors over from the *older* version.
+    /// Wait for it first ([`PortusClient::wait_checkpoint`] or
+    /// [`PortusClient::guard_update`]). Daemon-side failures
+    /// (unregistered model, mask length mismatch);
     /// [`PortusError::Throttled`] once the
     /// [`PortusClient::set_throttle_retries`] budget is spent.
     pub fn checkpoint_delta(&self, model: &str, dirty: &[bool]) -> PortusResult<DeltaReport> {
+        if self.has_inflight(model) {
+            return Err(PortusError::AlreadyInFlight(model.to_string()));
+        }
         let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
         loop {
             match self.checkpoint_delta_once(model, dirty) {

@@ -17,9 +17,11 @@
 //! drains the completion queue, mapping any error back to the tensors
 //! of its run:
 //!
-//! * checkpoint — the daemon **reads** every tensor out of the client's
-//!   GPU memory straight into the slot's TensorData region on PMem,
-//!   flushes, checksums, and flips the slot to `Done`;
+//! * checkpoint — the daemon **reads** every dirty tensor out of the
+//!   client's GPU memory straight into the slot's TensorData region on
+//!   PMem (a full checkpoint marks every tensor dirty; an incremental
+//!   one carries the clean ones over on device), then flushes,
+//!   checksums, and flips the slot to `Done`;
 //! * restore — the daemon **writes** the latest `Done` version back into
 //!   freshly registered GPU regions.
 //!
@@ -63,7 +65,9 @@ use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord
 
 use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState, TenantCtx};
-use crate::{Index, MIndex, PortusError, PortusResult, SlotHeader, SlotState, VerbFailure};
+use crate::{
+    Index, MIndex, PortusError, PortusResult, SlotHeader, SlotState, TensorRecord, VerbFailure,
+};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -72,8 +76,6 @@ pub struct DaemonConfig {
     pub table_capacity: u32,
     /// AllocTable slots.
     pub alloc_slots: u32,
-    /// Verify the stored checksum before serving a restore.
-    pub verify_on_restore: bool,
     /// DRAM-fallback mode (paper §IV-a): "upon the absence of PMEM ...
     /// Portus can use DRAM as alternatives". Persistence calls are
     /// skipped; a power failure loses everything, as DRAM would.
@@ -114,7 +116,9 @@ pub struct DaemonConfig {
     /// so runs on different QPs transfer in parallel up to the NICs'
     /// engine counts, and completed runs flow into a pipelined
     /// persist+checksum stage while later WQEs are still in flight.
-    /// `1` keeps the classic single-QP datapath, bit-for-bit.
+    /// `1` keeps the classic single-QP posting path, and the seal takes
+    /// the whole region as one piece: bit-for-bit the pre-striping
+    /// virtual times.
     pub qps_per_connection: usize,
     /// Multi-tenant QoS policy: per-tenant token buckets (admission)
     /// and lane weights (weighted-fair striping). The default is
@@ -133,10 +137,6 @@ pub struct DaemonConfig {
     /// default so a briefly-full queue still backpressures rather than
     /// shedding.
     pub shed_wait: Duration,
-    /// The `retry_after` hint carried by a queue-shed
-    /// [`Reply::Throttled`] (virtual time; admission sheds compute the
-    /// token bucket's exact deficit instead).
-    pub shed_retry_after: SimDuration,
     /// Content-addressed deduplication (ROADMAP item 5). `None` (the
     /// default) keeps every checkpoint a plain contiguous region —
     /// bit-for-bit the pre-dedup daemon. `Some` formats (or recovers)
@@ -160,7 +160,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             table_capacity: 1024,
             alloc_slots: 8192,
-            verify_on_restore: true,
             dram_fallback: false,
             dispatch_workers: 4,
             dispatch_queue_depth: 64,
@@ -171,12 +170,16 @@ impl Default for DaemonConfig {
             qos: QosConfig::default(),
             priority_restore: true,
             shed_wait: Duration::from_millis(500),
-            shed_retry_after: SimDuration::from_millis(1),
             dedup: None,
             catalog: None,
         }
     }
 }
+
+/// The `retry_after` hint carried by a queue-shed [`Reply::Throttled`]
+/// (virtual time; admission sheds compute the token bucket's exact
+/// deficit instead).
+const SHED_RETRY_AFTER: SimDuration = SimDuration::from_millis(1);
 
 /// A unit of work handed to the dispatch pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -876,7 +879,7 @@ fn serve(
                 state.ctx.metrics.tenant_shed(&tenant.name);
                 let _ = replies.send(Reply::Throttled {
                     req_id,
-                    retry_after_ns: state.cfg.shed_retry_after.as_nanos(),
+                    retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
                 });
             }
             // The pool is draining (shutdown raced a late request); run
@@ -951,23 +954,25 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             req_id,
             model,
             dirty,
-        } => match state.delta_checkpoint(pool, tenant, &model, &dirty, req_id) {
-            Ok((version, pulled_bytes, copied_bytes, elapsed)) => Reply::DeltaDone {
+        } => match state.write_version(pool, tenant, &model, Some(&dirty), req_id) {
+            Ok(w) => Reply::DeltaDone {
                 req_id,
-                version,
-                pulled_bytes,
-                copied_bytes,
-                elapsed,
+                version: w.version,
+                pulled_bytes: w.pulled,
+                copied_bytes: w.copied,
+                elapsed: w.elapsed,
             },
             Err(e) => error_reply(req_id, e),
         },
+        // The paper's `DO_CHECKPOINT`: the all-dirty case of the same
+        // write, so everything it pulls is the whole model.
         Request::Checkpoint { req_id, model } => {
-            match state.checkpoint(pool, tenant, &model, req_id) {
-                Ok((version, bytes, elapsed)) => Reply::CheckpointDone {
+            match state.write_version(pool, tenant, &model, None, req_id) {
+                Ok(w) => Reply::CheckpointDone {
                     req_id,
-                    version,
-                    bytes,
-                    elapsed,
+                    version: w.version,
+                    bytes: w.pulled,
+                    elapsed: w.elapsed,
                 },
                 Err(e) => error_reply(req_id, e),
             }
@@ -1017,6 +1022,60 @@ struct TensorVerb {
     len: u64,
     rkey: u64,
     name: String,
+}
+
+impl TensorVerb {
+    /// The verb moving the session tensor `desc` to or from its
+    /// persistent record `rec`.
+    fn new(rec: &TensorRecord, desc: &TensorDesc) -> TensorVerb {
+        TensorVerb {
+            rel_off: rec.rel_off,
+            len: rec.meta.size_bytes(),
+            rkey: desc.rkey,
+            name: desc.name.clone(),
+        }
+    }
+}
+
+/// Checks a session's tensor descriptors against the model's
+/// persistent records — the same count, and each descriptor's metadata
+/// equal to its record's — or fails with
+/// [`PortusError::StructureMismatch`].
+fn check_structure(model: &str, descs: &[TensorDesc], mi: &MIndex) -> PortusResult<()> {
+    if descs.len() != mi.tensors.len() {
+        return Err(PortusError::StructureMismatch(format!(
+            "{model}: session has {} tensors, index has {}",
+            descs.len(),
+            mi.tensors.len()
+        )));
+    }
+    match mi
+        .tensors
+        .iter()
+        .zip(descs)
+        .find(|(rec, desc)| desc.meta() != rec.meta)
+    {
+        Some((_, desc)) => Err(PortusError::StructureMismatch(format!(
+            "{model}: session tensor {} does not match index",
+            desc.name
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// What [`DaemonState::write_version`] reports about the version it
+/// sealed.
+pub(crate) struct Written {
+    /// The new version number.
+    version: u64,
+    /// Bytes pulled over the fabric: the whole model when every tensor
+    /// was dirty.
+    pulled: u64,
+    /// Bytes carried over device-locally from the previous version.
+    copied: u64,
+    /// Daemon-side virtual time from the first carry or pull to the
+    /// sealed (and, on a dedup namespace, ingested) version.
+    elapsed: SimDuration,
 }
 
 /// One work-queue entry: a run of tensors contiguous in the slot's
@@ -1102,14 +1161,17 @@ impl DatapathFailure {
 
 /// What a successful posted operation leaves behind: each run's fabric
 /// `(start, end)` completion window, indexed like the input runs. Only
-/// the striped datapath fills this in (the single-QP path seals with
-/// the classic full-region pass and needs no per-run times).
+/// the striped datapath fills this in (a one-QP seal is one
+/// whole-region piece and needs no per-run times).
 struct RunOutcome {
     completions: Vec<Option<(SimTime, SimTime)>>,
 }
 
-/// One extent of a striped checkpoint whose bytes are already in the
-/// slot's data region, queued for the pipelined persist+checksum stage.
+/// One extent of a checkpoint whose bytes are already in the slot's
+/// data region, queued for the seal pipe's persist+digest stage
+/// ([`DaemonState::seal`]). A one-QP seal hands the pipe the whole
+/// region as one piece; a striped seal hands it one piece per pulled
+/// run plus one per carry-over.
 struct SealPiece {
     /// Slot-relative offset of the extent.
     rel_off: u64,
@@ -1118,9 +1180,10 @@ struct SealPiece {
     /// Virtual instant the bytes were in place: the fabric completion
     /// end for pulled runs, the copy completion for carry-overs.
     arrival: SimTime,
-    /// Digest already computed from in-flight bytes (carry-overs hash
-    /// the bounce buffer they stage through); `None` means the stage
-    /// reads the extent back from PMem, charging the DAX read.
+    /// Digest already computed from in-flight bytes (striped
+    /// carry-overs hash the bounce buffer they stage through); `None`
+    /// means the pipe reads the extent back from PMem
+    /// ([`Index::range_digest`]), charging the DAX read.
     digest: Option<u64>,
 }
 
@@ -1191,8 +1254,8 @@ fn drain_cq(
 /// returns the positional digest of the copied bytes keyed at
 /// slot-relative `rel_off` — computed from the bounce buffer the copy
 /// already staged through, so a striped seal gets the extent's digest
-/// without a second read pass. The single-QP seal digests the whole
-/// region afterwards and does not ask.
+/// without a second read pass. A one-QP seal digests the whole region
+/// as one piece afterwards and does not ask.
 fn copy_on_device(
     dev: &PmemDevice,
     src_off: u64,
@@ -1392,51 +1455,13 @@ impl DaemonState {
         self.index.load_mindex(off)
     }
 
-    fn persist_data(&self, off: u64, len: u64) -> PortusResult<()> {
-        if !self.cfg.dram_fallback {
-            self.index.device().persist(off, len)?;
-        }
-        Ok(())
-    }
-
-    /// Persists pulled data, recording the phase time on the stats and
-    /// a `Persist` span on `sc`.
-    fn persist_phase(&self, off: u64, len: u64, sc: &SpanCtx<'_>) -> PortusResult<()> {
-        let t0 = self.ctx.clock.now();
-        self.persist_data(off, len)?;
-        self.ctx
-            .stats
-            .record_persist_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Persist, t0);
-        Ok(())
-    }
-
-    /// Runs one full-region integrity pass over a slot (`pass` reads
-    /// it off PMem), charging the DAX read of the slot's bytes and
-    /// recording the phase time on the stats and a `Checksum` span on
-    /// `sc`.
-    fn integrity_phase<T>(
-        &self,
-        mi: &MIndex,
-        sc: &SpanCtx<'_>,
-        pass: impl FnOnce() -> PortusResult<T>,
-    ) -> PortusResult<T> {
-        let t0 = self.ctx.clock.now();
-        let out = pass()?;
-        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
-        self.ctx
-            .stats
-            .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
-        sc.record_now(Stage::Checksum, t0);
-        Ok(out)
-    }
-
     /// Verifies a `Done` slot before serving a restore with
     /// [`Index::slot_intact`]: every seal writes the positional digest,
     /// which is recomputed here (split across cores for large slots).
     /// FNV is read-only legacy: a header an earlier build sealed with
     /// [`crate::CKSUM_KIND_FNV`] is checked with the sequential
-    /// checksum. Both charge the same full-region DAX read.
+    /// checksum. Both charge the same full-region DAX read, recorded on
+    /// the stats and as a `Checksum` span on `sc`.
     fn verify_slot(
         &self,
         mi: &MIndex,
@@ -1444,7 +1469,14 @@ impl DaemonState {
         model: &str,
         sc: &SpanCtx<'_>,
     ) -> PortusResult<()> {
-        if !self.integrity_phase(mi, sc, || self.index.slot_intact(mi, slot))? {
+        let t0 = self.ctx.clock.now();
+        let intact = self.index.slot_intact(mi, slot)?;
+        self.ctx.charge(self.ctx.model.dax_read(mi.total_bytes));
+        self.ctx
+            .stats
+            .record_checksum_ns(self.ctx.clock.now().saturating_since(t0).as_nanos());
+        sc.record_now(Stage::Checksum, t0);
+        if !intact {
             return Err(PortusError::ChecksumMismatch {
                 model: model.to_string(),
                 version: mi.slots[slot].version,
@@ -1751,71 +1783,20 @@ impl DaemonState {
         }
     }
 
-    /// Persists the pulled data, digests the slot
-    /// ([`Index::slot_digest`]), and flips it to `Done` with the
-    /// positional digest — the same integrity word the striped seal
-    /// writes; FNV is read-only legacy. On any error the slot is rolled
-    /// back (bytes definitely landed by this point) and the original
-    /// error is returned. An empty data region skips the persist phase
-    /// entirely — no span, no counter — instead of flushing a phantom
-    /// byte.
-    fn seal_slot(
-        &self,
-        mi: &MIndex,
-        slot: usize,
-        hdr: SlotHeader,
-        pre: SlotHeader,
-        sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
-        let persisted = if hdr.data_len == 0 {
-            Ok(())
-        } else {
-            self.persist_phase(hdr.data_off, hdr.data_len, sc)
-        };
-        let sealed = persisted
-            .and_then(|()| self.integrity_phase(mi, sc, || self.index.slot_digest(mi, slot)))
-            .and_then(|digest| {
-                let t0 = self.ctx.clock.now();
-                let done = self.index.mark_slot_done(mi, slot, digest);
-                sc.record_now(Stage::HeaderFlip, t0);
-                done
-            });
-        if let Err(e) = sealed {
-            // Best-effort: the original error is what the client sees.
-            self.rollback_best_effort(mi, slot, pre, true);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// The striped seal: instead of one full-region persist pass plus a
-    /// second full read for the checksum, each extent rides a FIFO
-    /// persist+digest pipeline **as its transfer completes** — work for
-    /// early runs overlaps, in virtual time, with later runs still in
-    /// flight on the NIC engines. Per-extent digests
-    /// ([`crate::region_digest`]) combine order-independently into the
-    /// slot digest the header is sealed with
-    /// ([`Index::mark_slot_done`]); restore recomputes the same
-    /// value from the region regardless of how the extents were
-    /// partitioned. On any error the slot is rolled back exactly as in
-    /// [`DaemonState::seal_slot`].
-    fn seal_slot_pipelined(
-        &self,
-        mi: &MIndex,
-        slot: usize,
-        hdr: SlotHeader,
-        pre: SlotHeader,
-        pieces: Vec<SealPiece>,
-        sc: &SpanCtx<'_>,
-    ) -> PortusResult<()> {
-        if let Err(e) = self.seal_pipeline(mi, slot, hdr, pieces, sc) {
-            self.rollback_best_effort(mi, slot, pre, true);
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn seal_pipeline(
+    /// The one seal: each extent of a new version rides a FIFO
+    /// persist+digest pipe **as its bytes arrive**, and once the pipe
+    /// drains the slot flips to `Done` with the combined positional
+    /// digest ([`Index::mark_slot_done`]). A one-QP pool hands the pipe
+    /// the whole region as one piece arriving when the pull completes:
+    /// one persist pass, then one digest pass split across cores. A
+    /// striped pool hands it one piece per run, arriving at the run's
+    /// own fabric completion, so work for early runs overlaps, in
+    /// virtual time, with later runs still in flight on the NIC
+    /// engines. Per-extent digests ([`crate::region_digest`]) combine
+    /// order-independently, so restore recomputes the same value from
+    /// the region however the extents were cut. A DRAM-fallback daemon
+    /// persists nothing; neither does an empty extent.
+    fn seal(
         &self,
         mi: &MIndex,
         slot: usize,
@@ -1835,7 +1816,6 @@ impl DaemonState {
             .unwrap_or_else(|| ctx.clock.now());
         let dev = self.index.device();
         let mut digest = 0u64;
-        let mut buf = Vec::new();
         // Overlap accounting for the pipeline gauge: stage work granted
         // before the last fabric completion ran in the transfer's
         // shadow.
@@ -1856,14 +1836,15 @@ impl DaemonState {
             let d = match piece.digest {
                 Some(d) => d,
                 None => {
-                    buf.resize(piece.len as usize, 0);
-                    dev.read(hdr.data_off + piece.rel_off, &mut buf)?;
+                    let d = self
+                        .index
+                        .range_digest(hdr.data_off, piece.rel_off..piece.rel_off + piece.len)?;
                     let cost = ctx.model.dax_read(piece.len);
                     let g = pipe.schedule(piece.arrival, cost);
                     ctx.stats.record_checksum_ns(cost.as_nanos());
                     sc.record(Stage::Checksum, g.start, g.end, 0);
                     track(g.start, g.end, cost);
-                    crate::region_digest(&buf, piece.rel_off)
+                    d
                 }
             };
             digest = crate::combine_digests(digest, d);
@@ -1880,32 +1861,14 @@ impl DaemonState {
     }
 
     pub(crate) fn register(&self, model: &str, tensors: Vec<TensorDesc>) -> PortusResult<()> {
-        let metas: Vec<_> = tensors.iter().map(TensorDesc::meta).collect();
         let lock = self.model_lock(model);
         let _guard = lock.lock();
-        let existing = self.resolve_model(model)?;
-        match existing {
-            Some(off) => {
-                // Re-registration (e.g. after client restart): the
-                // structure must match the persistent index.
-                let mi = self.index.load_mindex(off)?;
-                if mi.tensors.len() != metas.len() {
-                    return Err(PortusError::StructureMismatch(format!(
-                        "{model}: {} registered tensors vs {} on PMem",
-                        metas.len(),
-                        mi.tensors.len()
-                    )));
-                }
-                for (rec, meta) in mi.tensors.iter().zip(&metas) {
-                    if rec.meta != *meta {
-                        return Err(PortusError::StructureMismatch(format!(
-                            "{model}: tensor {} does not match stored {}",
-                            meta.name, rec.meta.name
-                        )));
-                    }
-                }
-            }
+        match self.resolve_model(model)? {
+            // Re-registration (e.g. after client restart): the structure
+            // must match the persistent index.
+            Some(off) => check_structure(model, &tensors, &self.index.load_mindex(off)?)?,
             None => {
+                let metas: Vec<_> = tensors.iter().map(TensorDesc::meta).collect();
                 let mi = self.index.create_model(model, &metas)?;
                 match self.catalog() {
                     Some(cat) => {
@@ -1921,14 +1884,28 @@ impl DaemonState {
         Ok(())
     }
 
-    pub(crate) fn checkpoint(
+    /// Writes a new version of `model` into its target slot: the one
+    /// path behind both `DO_CHECKPOINT` and the incremental checkpoint.
+    /// Tensors flagged in `dirty` are pulled from GPU memory; clean ones
+    /// are carried over from the previous complete version with a
+    /// device-local PMem copy (charged at DAX read + write rates).
+    /// `None` marks every tensor dirty — a full checkpoint, traced as
+    /// [`TraceOp::Checkpoint`] — and so does a model with no complete
+    /// version yet. The result is a *complete* version whatever the
+    /// mask: crash consistency never depends on how it was written.
+    pub(crate) fn write_version(
         &self,
         pool: &QpPool,
         tenant: &TenantCtx,
         model: &str,
+        dirty: Option<&[bool]>,
         req_id: u64,
-    ) -> PortusResult<(u64, u64, SimDuration)> {
-        let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::Checkpoint, model);
+    ) -> PortusResult<Written> {
+        let (trace_op, op) = match dirty {
+            None => (TraceOp::Checkpoint, "checkpoint"),
+            Some(_) => (TraceOp::DeltaCheckpoint, "delta-checkpoint"),
+        };
+        let sc = SpanCtx::new(&self.ctx, req_id, trace_op, model);
         let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);
         let _guard = lock.lock();
@@ -1940,33 +1917,45 @@ impl DaemonState {
             .get(model)
             .cloned()
             .ok_or_else(|| PortusError::Daemon(format!("no registered session for {model}")))?;
-        if descs.len() != mi.tensors.len() {
+        // Validate the session (and the mask) against the index BEFORE
+        // the slot is touched: a rejected request must leave both slot
+        // headers exactly as they were, and a failed WQE must mean a
+        // fabric problem, not a structure mismatch found mid-pull.
+        check_structure(model, &descs, &mi)?;
+        if let Some(mask) = dirty.filter(|m| m.len() != mi.tensors.len()) {
             return Err(PortusError::StructureMismatch(format!(
-                "{model}: session has {} tensors, index has {}",
-                descs.len(),
+                "{model}: dirty mask has {} entries, index has {} tensors",
+                mask.len(),
                 mi.tensors.len()
             )));
         }
+        let prev_hdr = mi.latest_done().map(|(_, h)| h);
 
-        // Validate the whole session against the index before the
-        // target slot is touched — a rejected request must leave both
-        // slot headers exactly as they were, and a failed WQE must mean
-        // a fabric problem, not a structure mismatch discovered halfway
-        // through the pull.
+        // Split the mask into work lists. Clean tensors become
+        // device-local carry-overs from the previous `Done` slot (plain
+        // or extent-mapped) as (src, rel_off, len); dirty ones become
+        // posted pull runs. Gaps left by clean tensors break runs, so
+        // only genuinely adjacent pulls coalesce.
+        let (mut pulled, mut copied) = (0u64, 0u64);
         let mut verbs = Vec::with_capacity(mi.tensors.len());
-        for (rec, desc) in mi.tensors.iter().zip(&descs) {
-            if desc.meta() != rec.meta {
-                return Err(PortusError::StructureMismatch(format!(
-                    "{model}: registered tensor {} does not match index",
-                    desc.name
-                )));
+        let mut carries: Vec<(CarrySrc, u64, u64)> = Vec::new();
+        for (i, (rec, desc)) in mi.tensors.iter().zip(&descs).enumerate() {
+            let len = rec.meta.size_bytes();
+            match prev_hdr {
+                Some(ph) if dirty.is_some_and(|mask| !mask[i]) => {
+                    let src = if ph.ext_map != 0 {
+                        CarrySrc::Extents(ph.ext_map)
+                    } else {
+                        CarrySrc::Plain(ph.data_off + rec.rel_off)
+                    };
+                    carries.push((src, rec.rel_off, len));
+                    copied += len;
+                }
+                _ => {
+                    verbs.push(TensorVerb::new(rec, desc));
+                    pulled += len;
+                }
             }
-            verbs.push(TensorVerb {
-                rel_off: rec.rel_off,
-                len: rec.meta.size_bytes(),
-                rkey: desc.rkey,
-                name: desc.name.clone(),
-            });
         }
         sc.record_now(Stage::Validate, t_op);
 
@@ -1977,8 +1966,8 @@ impl DaemonState {
         let target = mi.target_slot();
         // On a dedup namespace the target slot may hold the older
         // version as an extent map; drop those references *before* the
-        // slot is activated, so the rollback target (`pre`) never
-        // carries an extent map and a failed pull cannot strand one.
+        // slot is activated, so the rollback target (`hdr`) never
+        // carries an extent map and a failed write cannot strand one.
         if mi.slots[target].ext_map != 0 {
             crate::dedup::release_slot_extents(&self.index, &mut mi, target)?;
         }
@@ -1993,148 +1982,6 @@ impl DaemonState {
         let hdr = self.ensure_region_or_reclaim(&mut mi, target)?;
         self.index.mark_slot_active(&mi, target, version)?;
 
-        let t0 = self.ctx.clock.now();
-        // The zero-copy pulls, GPU → PMem: coalesced gather WQEs posted
-        // under one doorbell per QP stripe, completions drained off the
-        // CQs, failed WQEs retried per-run on their own lane.
-        let outcome =
-            match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
-                Ok(outcome) => outcome,
-                Err(fail) => {
-                    self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded);
-                    return Err(fail.into_error(model, "checkpoint"));
-                }
-            };
-        // RDMA landed in the DDIO domain; make it durable (Wei et al.),
-        // checksum, and flip to Done. The striped datapath pipelines
-        // per-run persist+digest work against the transfers themselves.
-        if pool.len() > 1 {
-            let now = self.ctx.clock.now();
-            let pieces = runs
-                .iter()
-                .zip(&outcome.completions)
-                .map(|(run, c)| SealPiece {
-                    rel_off: run.base_rel,
-                    len: run.len,
-                    arrival: c.map_or(now, |(_, end)| end),
-                    digest: None,
-                })
-                .collect();
-            self.seal_slot_pipelined(&mi, target, hdr, hdr, pieces, &sc)?;
-        } else {
-            self.seal_slot(&mi, target, hdr, hdr, &sc)?;
-        }
-        // Dedup tier: the sealed plain region becomes an extent map of
-        // content-addressed chunks (failure keeps the plain region).
-        if let Some(dcfg) = &self.cfg.dedup {
-            mi.slots[target].state = SlotState::Done;
-            mi.slots[target].version = version;
-            self.ingest_phase(&mut mi, target, dcfg, &sc);
-        }
-        let elapsed = self.ctx.clock.now().saturating_since(t0);
-        sc.record_now(Stage::Total, t_op);
-        Ok((version, mi.total_bytes, elapsed))
-    }
-
-    /// Incremental checkpoint: dirty tensors are pulled from GPU memory;
-    /// clean ones are carried over from the previous complete version
-    /// with a device-local PMem copy (charged at DAX read + write rates).
-    /// The resulting slot is a *complete* version — crash consistency is
-    /// identical to a full checkpoint.
-    pub(crate) fn delta_checkpoint(
-        &self,
-        pool: &QpPool,
-        tenant: &TenantCtx,
-        model: &str,
-        dirty: &[bool],
-        req_id: u64,
-    ) -> PortusResult<(u64, u64, u64, SimDuration)> {
-        let sc = SpanCtx::new(&self.ctx, req_id, TraceOp::DeltaCheckpoint, model);
-        let _active = self.qos.arbiter.op_guard(tenant);
-        let lock = self.model_lock(model);
-        let _guard = lock.lock();
-        let t_op = self.ctx.clock.now();
-        let mut mi = self.lookup(model, Some(&sc))?;
-        let descs = self
-            .sessions
-            .lock()
-            .get(model)
-            .cloned()
-            .ok_or_else(|| PortusError::Daemon(format!("no registered session for {model}")))?;
-        if descs.len() != mi.tensors.len() || dirty.len() != mi.tensors.len() {
-            return Err(PortusError::StructureMismatch(format!(
-                "{model}: session {} / dirty {} tensors vs index {}",
-                descs.len(),
-                dirty.len(),
-                mi.tensors.len()
-            )));
-        }
-        let prev = mi.latest_done();
-        let prev_hdr = prev.map(|(_, h)| h);
-
-        // Validate the session and split the dirty mask into work lists
-        // BEFORE the slot is touched: a rejected request must leave
-        // both slot headers exactly as they were. Clean tensors become
-        // device-local carry-overs; dirty ones become posted pull runs.
-        // Gaps left by clean tensors break runs, so only genuinely
-        // adjacent pulls coalesce.
-        let (mut pulled, mut copied) = (0u64, 0u64);
-        let mut verbs = Vec::new();
-        // Carry-overs as (src, rel_off, len): the source in the
-        // previous Done slot (plain or extent-mapped), destination
-        // rel_off in the target region.
-        let mut carries: Vec<(CarrySrc, u64, u64)> = Vec::new();
-        for ((rec, desc), &is_dirty) in mi.tensors.iter().zip(&descs).zip(dirty) {
-            if desc.meta() != rec.meta {
-                return Err(PortusError::StructureMismatch(format!(
-                    "{model}: registered tensor {} does not match index",
-                    desc.name
-                )));
-            }
-            let len = rec.meta.size_bytes();
-            // Without a previous complete version, everything must be
-            // pulled regardless of the mask.
-            match prev_hdr {
-                Some(ph) if !is_dirty => {
-                    let src = if ph.ext_map != 0 {
-                        CarrySrc::Extents(ph.ext_map)
-                    } else {
-                        CarrySrc::Plain(ph.data_off + rec.rel_off)
-                    };
-                    carries.push((src, rec.rel_off, len));
-                    copied += len;
-                }
-                _ => {
-                    verbs.push(TensorVerb {
-                        rel_off: rec.rel_off,
-                        len,
-                        rkey: desc.rkey,
-                        name: desc.name.clone(),
-                    });
-                    pulled += len;
-                }
-            }
-        }
-        sc.record_now(Stage::Validate, t_op);
-
-        let t_build = self.ctx.clock.now();
-        let runs = coalesce_runs(&verbs);
-        sc.record_now(Stage::WqeBuild, t_build);
-
-        let target = mi.target_slot();
-        // As in `checkpoint`: an extent-mapped target slot drops its
-        // references before the slot is activated.
-        if mi.slots[target].ext_map != 0 {
-            crate::dedup::release_slot_extents(&self.index, &mut mi, target)?;
-        }
-        // As in `checkpoint`: the high-water mark across both headers,
-        // not the latest `Done` version.
-        let version = mi.next_version();
-        // As in `checkpoint`: the post-attachment, pre-activation header
-        // is the rollback target.
-        let hdr = self.ensure_region_or_reclaim(&mut mi, target)?;
-        self.index.mark_slot_active(&mi, target, version)?;
-
         let dev = Arc::clone(self.index.device());
         let ctx = &self.ctx;
         let striped = pool.len() > 1;
@@ -2142,10 +1989,10 @@ impl DaemonState {
         // Carry-overs first (device-local), then the posted pulls. A
         // striped seal reuses the digest each copy computed from its
         // bounce buffer, so carried bytes are never read a second time;
-        // the single-QP seal digests the whole region, so its copies
-        // skip the hashing.
+        // a one-QP seal digests the whole region, so its copies skip
+        // the hashing.
         let mut carried = 0u64;
-        let mut carry_pieces: Vec<SealPiece> = Vec::new();
+        let mut pieces: Vec<SealPiece> = Vec::new();
         let carry_result: PortusResult<()> = carries.iter().try_for_each(|&(src, rel, len)| {
             let (digest, read_bytes) = match src {
                 CarrySrc::Plain(s) => (
@@ -2168,7 +2015,7 @@ impl DaemonState {
             ctx.stats.record_copy(len);
             carried += len;
             if striped {
-                carry_pieces.push(SealPiece {
+                pieces.push(SealPiece {
                     rel_off: rel,
                     len,
                     arrival: ctx.clock.now(),
@@ -2186,6 +2033,9 @@ impl DaemonState {
         if !carries.is_empty() {
             sc.record_now(Stage::CarryCopy, t0);
         }
+        // The zero-copy pulls, GPU → PMem: coalesced gather WQEs posted
+        // under one doorbell per QP stripe, completions drained off the
+        // CQs, failed WQEs retried per-run on their own lane.
         let outcome =
             match self.execute_runs(pool, tenant, &runs, hdr.data_off, Direction::Pull, &sc) {
                 Ok(outcome) => outcome,
@@ -2193,12 +2043,13 @@ impl DaemonState {
                     // Bytes landed if any pull WQE succeeded — or if any
                     // carry-over copy already wrote into the slot.
                     self.rollback_best_effort(&mi, target, hdr, fail.any_succeeded || carried > 0);
-                    return Err(fail.into_error(model, "delta-checkpoint"));
+                    return Err(fail.into_error(model, op));
                 }
             };
+        // RDMA landed in the DDIO domain; make it durable (Wei et al.),
+        // digest it, and flip the slot to `Done` through the seal pipe.
+        let now = ctx.clock.now();
         if striped {
-            let now = ctx.clock.now();
-            let mut pieces = carry_pieces;
             pieces.extend(
                 runs.iter()
                     .zip(&outcome.completions)
@@ -2209,11 +2060,21 @@ impl DaemonState {
                         digest: None,
                     }),
             );
-            self.seal_slot_pipelined(&mi, target, hdr, hdr, pieces, &sc)?;
         } else {
-            self.seal_slot(&mi, target, hdr, hdr, &sc)?;
+            pieces.push(SealPiece {
+                rel_off: 0,
+                len: hdr.data_len,
+                arrival: now,
+                digest: None,
+            });
         }
-        // As in `checkpoint`: the sealed region enters the dedup tier.
+        if let Err(e) = self.seal(&mi, target, hdr, pieces, &sc) {
+            // Best-effort: the original error is what the client sees.
+            self.rollback_best_effort(&mi, target, hdr, true);
+            return Err(e);
+        }
+        // Dedup tier: the sealed plain region becomes an extent map of
+        // content-addressed chunks (failure keeps the plain region).
         if let Some(dcfg) = &self.cfg.dedup {
             mi.slots[target].state = SlotState::Done;
             mi.slots[target].version = version;
@@ -2221,7 +2082,12 @@ impl DaemonState {
         }
         let elapsed = ctx.clock.now().saturating_since(t0);
         sc.record_now(Stage::Total, t_op);
-        Ok((version, pulled, copied, elapsed))
+        Ok(Written {
+            version,
+            pulled,
+            copied,
+            elapsed,
+        })
     }
 
     pub(crate) fn restore(
@@ -2247,28 +2113,13 @@ impl DaemonState {
             Some(v) => mi.done_version(v),
         }
         .ok_or_else(|| PortusError::NoValidCheckpoint(model.to_string()))?;
-        if descs.len() != mi.tensors.len() {
-            return Err(PortusError::StructureMismatch(format!(
-                "{model}: restore registered {} tensors, index has {}",
-                descs.len(),
-                mi.tensors.len()
-            )));
-        }
-        let mut verbs = Vec::with_capacity(mi.tensors.len());
-        for (rec, desc) in mi.tensors.iter().zip(descs) {
-            if desc.meta() != rec.meta {
-                return Err(PortusError::StructureMismatch(format!(
-                    "{model}: restore tensor {} does not match index",
-                    desc.name
-                )));
-            }
-            verbs.push(TensorVerb {
-                rel_off: rec.rel_off,
-                len: rec.meta.size_bytes(),
-                rkey: desc.rkey,
-                name: desc.name.clone(),
-            });
-        }
+        check_structure(model, descs, &mi)?;
+        let verbs: Vec<TensorVerb> = mi
+            .tensors
+            .iter()
+            .zip(descs)
+            .map(|(rec, desc)| TensorVerb::new(rec, desc))
+            .collect();
         // Validate covers the index/descriptor reconciliation only; it
         // is recorded before the (separately staged) checksum pass so
         // the two spans do not overlap in the trace.
@@ -2300,9 +2151,7 @@ impl DaemonState {
         };
 
         let pushed = (|| -> PortusResult<SimDuration> {
-            if self.cfg.verify_on_restore {
-                self.verify_slot(&mi, slot, model, &sc)?;
-            }
+            self.verify_slot(&mi, slot, model, &sc)?;
 
             let t_build = self.ctx.clock.now();
             let runs = coalesce_runs(&verbs);

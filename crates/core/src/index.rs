@@ -25,6 +25,7 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
@@ -1069,23 +1070,34 @@ impl Index {
     /// region; device errors.
     pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = plain_slot(mi, slot)?;
-        self.digest_region(hdr.data_off, hdr.data_len, digest_lanes())
+        self.range_digest(hdr.data_off, 0..hdr.data_len)
     }
 
-    /// Positional digest of the `len` bytes at `data_off`, keyed from
-    /// slot-relative offset 0, over at most `max_lanes` lanes. The
-    /// region is split into one contiguous range per lane, as many
-    /// lanes as give each at least [`LANE_MIN_BYTES`]; the calling
-    /// thread hashes the first range and scoped threads the rest, each
-    /// through its own 256 KiB buffer. A region too small for two lanes
-    /// takes one sequential pass.
-    fn digest_region(&self, data_off: u64, len: u64, max_lanes: usize) -> PortusResult<u64> {
+    /// Positional digest of the slot-relative range `rel` of the data
+    /// region at `data_off` (reads PMem), split across cores like
+    /// [`Index::slot_digest`]. The seal pipe hashes each extent it
+    /// persisted with this: the whole region for a one-QP seal, one run
+    /// at a time for a striped one.
+    pub(crate) fn range_digest(&self, data_off: u64, rel: Range<u64>) -> PortusResult<u64> {
+        self.digest_region(data_off, rel, digest_lanes())
+    }
+
+    /// Positional digest of the slot-relative range `rel` of the region
+    /// at `data_off`, over at most `max_lanes` lanes. The range is
+    /// split into one contiguous piece per lane, as many lanes as give
+    /// each at least [`LANE_MIN_BYTES`]; the calling thread hashes the
+    /// first piece and scoped threads the rest, each through its own
+    /// 256 KiB buffer. A range too small for two lanes takes one
+    /// sequential pass.
+    fn digest_region(&self, data_off: u64, rel: Range<u64>, max_lanes: usize) -> PortusResult<u64> {
+        let len = rel.end.saturating_sub(rel.start);
         let lanes = max_lanes.min((len / LANE_MIN_BYTES).max(1) as usize);
         if lanes == 1 {
-            return with_io_buf(|buf| self.digest_range(data_off, 0..len, buf));
+            return with_io_buf(|buf| self.digest_range(data_off, rel, buf));
         }
         let share = len.div_ceil(lanes as u64);
-        let range = |lane: u64| lane * share..((lane + 1) * share).min(len);
+        let Range { start, end } = rel;
+        let range = |lane: u64| start + lane * share..(start + (lane + 1) * share).min(end);
         std::thread::scope(|s| {
             let rest: Vec<_> = (1..lanes as u64)
                 .map(|lane| {
@@ -1106,12 +1118,7 @@ impl Index {
 
     /// Positional digest of the slot-relative `range` of the region at
     /// `data_off`, read through `buf`.
-    fn digest_range(
-        &self,
-        data_off: u64,
-        range: std::ops::Range<u64>,
-        buf: &mut [u8],
-    ) -> PortusResult<u64> {
+    fn digest_range(&self, data_off: u64, range: Range<u64>, buf: &mut [u8]) -> PortusResult<u64> {
         let mut acc: u64 = 0;
         let mut pos = range.start;
         while pos < range.end {
@@ -1537,12 +1544,15 @@ mod tests {
             (3, 3 * M + 7),
             (4, 4 * M + 3),
         ];
+        // A slot-relative base that is neither lane- nor buffer-aligned.
+        const BASE: u64 = 4099;
         let len_max = 4 * M + 3;
-        let dev = PmemDevice::new(SimContext::icdcs24(), PmemMode::DevDax, 3 * len_max);
+        let region = BASE + len_max;
+        let dev = PmemDevice::new(SimContext::icdcs24(), PmemMode::DevDax, 3 * region);
         let index = Index::format(dev.clone(), 4, 64).unwrap();
-        let mi = index.create_model("big", &metas(1, len_max + 1)).unwrap();
+        let mi = index.create_model("big", &metas(1, region + 1)).unwrap();
         let data_off = mi.slots[0].data_off;
-        let data: Vec<u8> = (0..len_max)
+        let data: Vec<u8> = (0..region)
             .map(|i| (i.wrapping_mul(31) >> 3) as u8)
             .collect();
         dev.write(data_off, &data).unwrap();
@@ -1556,9 +1566,19 @@ mod tests {
             );
             at = len;
             assert_eq!(
-                index.digest_region(data_off, len, lanes).unwrap(),
+                index.digest_region(data_off, 0..len, lanes).unwrap(),
                 sequential,
                 "{lanes} lanes over {len} bytes"
+            );
+        }
+        // The same lengths starting at a non-zero slot-relative base:
+        // each lane keys its bytes from where the range starts.
+        for (lanes, len) in cases {
+            let rel = BASE..BASE + len;
+            assert_eq!(
+                index.digest_region(data_off, rel.clone(), lanes).unwrap(),
+                region_digest(&data[rel.start as usize..rel.end as usize], BASE),
+                "{lanes} lanes over {len} bytes from {BASE}"
             );
         }
         // The tail lane alone, at its non-zero slot-relative base.

@@ -14,7 +14,9 @@
 //!   map. The paper uses a red-black tree for this mirror only to get
 //!   ordered lookup by name, so std's `BTreeMap` keeps the contract.
 //!   The daemon serves checkpoints with one-sided RDMA READs and
-//!   restores with one-sided WRITEs.
+//!   restores with one-sided WRITEs. A full checkpoint is the
+//!   all-dirty case of an incremental one: both take one write path
+//!   and one seal — persist, checksum, flip the slot header.
 //! * Double-mapping crash consistency (§III-D2): two slots per model;
 //!   at least one complete version always survives any crash.
 //! * [`repack`] — the PMem space reclaimer.

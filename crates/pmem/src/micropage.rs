@@ -63,7 +63,7 @@ pub fn pack_pages(entries: &[(String, u64)], page_bytes: u64) -> Vec<&[(String, 
 ///
 /// # Errors
 ///
-/// Fails with [`PmemError::Bounds`]-style device errors, or
+/// Fails with [`PmemError::OutOfBounds`] past the device's capacity, or
 /// `PmemError::Corrupt` if the entries overflow `page_bytes`.
 pub fn write_page(
     dev: &PmemDevice,

@@ -282,8 +282,9 @@ impl QueuePair {
     /// scheduled on this QP's lane engines but the shared clock is
     /// **not** advanced — the returned [`Completion`] carries the
     /// `(start, end)` window and the caller advances the clock once
-    /// when it drains the whole posting round (see
-    /// [`QueuePair::charge_transfer_deferred`]).
+    /// when it drains the whole posting round. A WQE that lands on a
+    /// busy engine still pays the
+    /// [`portus_sim::CostModel::nic_engine_contention`] penalty.
     ///
     /// # Errors
     ///

@@ -3,9 +3,9 @@
 //! A failed asynchronous checkpoint must surface its error exactly once
 //! at the Fig. 8 barrier and leave the client fully usable; a second
 //! `checkpoint_async` of a model already in flight must be rejected
-//! instead of silently orphaning the first reply; and checkpoints of
-//! *different* models on one connection must actually overlap on the
-//! daemon's dispatch pool.
+//! instead of silently orphaning the first reply, and so must a delta
+//! sent while it is in flight; and checkpoints of *different* models on
+//! one connection must actually overlap on the daemon's dispatch pool.
 
 use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
@@ -90,6 +90,43 @@ fn second_async_checkpoint_of_same_model_is_rejected() {
     // Once waited, a new async checkpoint is allowed again.
     let p2 = w.client.checkpoint_async("dup").unwrap();
     assert_eq!(w.client.wait_checkpoint("dup", p2).unwrap().version, 2);
+    drop(w.client);
+    w.daemon.shutdown();
+}
+
+/// A delta sent while an async checkpoint of the same model is in
+/// flight could overtake that pull on another dispatch worker and carry
+/// its clean tensors over from the older version — although the mask
+/// was reset for the pull. The client rejects it until the pull is
+/// waited on.
+#[test]
+fn delta_during_an_async_checkpoint_is_rejected() {
+    let w = world(128 << 20);
+    let spec = test_spec("racy", 8, 256 * 1024);
+    let mut model = ModelInstance::materialize(&spec, &w.gpu, 5, Materialization::Owned).unwrap();
+    w.client.register_model(&model).unwrap();
+
+    model.train_step();
+    let pending = w.client.checkpoint_async("racy").unwrap();
+    // The async policy's bookkeeping: the pull covers every change so
+    // far, so the mask is reset and a delta now would send it clean.
+    model.take_dirty();
+    let clean = model.dirty().to_vec();
+    let err = w.client.checkpoint_delta("racy", &clean).unwrap_err();
+    assert!(
+        matches!(&err, PortusError::AlreadyInFlight(m) if m == "racy"),
+        "got: {err}"
+    );
+
+    // Once the pull is waited on, the same delta goes through.
+    assert_eq!(
+        w.client.wait_checkpoint("racy", pending).unwrap().version,
+        1
+    );
+    let report = w.client.checkpoint_delta("racy", &clean).unwrap();
+    assert_eq!(report.version, 2);
+    assert_eq!(report.pulled_bytes, 0);
+    assert_eq!(report.copied_bytes, spec.total_bytes());
     drop(w.client);
     w.daemon.shutdown();
 }

@@ -8,7 +8,7 @@ use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
 use portus_rdma::{Fabric, NodeId};
-use portus_sim::SimContext;
+use portus_sim::{SimContext, Stage};
 
 const LAYERS: usize = 8;
 const LAYER_BYTES: u64 = 128 * 1024;
@@ -176,4 +176,105 @@ fn torn_delta_checkpoint_preserves_the_previous_version() {
     let r = client2.restore(&model).unwrap();
     assert_eq!(r.version, 1);
     assert_eq!(model.model_checksum(), want);
+}
+
+/// The latest complete version of `name` on `daemon`: its version,
+/// sealed digest, the digest recomputed off PMem, and its slot bytes.
+fn latest_slot(daemon: &PortusDaemon, name: &str) -> (u64, u64, u64, Vec<u8>) {
+    let index = daemon.index();
+    let mi = index
+        .live_entries()
+        .unwrap()
+        .into_iter()
+        .map(|(_, off)| index.load_mindex(off).unwrap())
+        .find(|mi| mi.name == name)
+        .expect("model is in the table");
+    let (slot, hdr) = mi.latest_done().expect("a complete version");
+    let mut bytes = vec![0u8; hdr.data_len as usize];
+    index.device().read(hdr.data_off, &mut bytes).unwrap();
+    let recomputed = index.slot_digest(&mi, slot).unwrap();
+    (hdr.version, hdr.digest, recomputed, bytes)
+}
+
+/// `(stage, lane, round, duration)` of every daemon- and client-side
+/// span of `model`, in recording order.
+fn stage_durations(ctx: &SimContext, model: &str) -> Vec<(Stage, u32, u32, u64)> {
+    ctx.tracer
+        .spans()
+        .into_iter()
+        .filter(|s| s.model == model)
+        .map(|s| {
+            let d = s.end.saturating_since(s.start).as_nanos();
+            (s.stage, s.lane, s.round, d)
+        })
+        .collect()
+}
+
+/// A full checkpoint is the all-dirty case of a delta: on a one-QP and
+/// a four-QP daemon, two models of one shape — one checkpointed in
+/// full, one with an all-`true` mask — seal the same slot bytes and
+/// digest, get the same version sequence and virtual `elapsed`, and
+/// trace the same per-stage durations, with no carry-over at all.
+#[test]
+fn full_checkpoint_equals_an_all_dirty_delta() {
+    for qps in [1, 4] {
+        let ctx = SimContext::icdcs24();
+        let fabric = Fabric::new(ctx.clone());
+        let compute = fabric.add_nic_with_engines(NodeId(0), 4);
+        fabric.add_nic_with_engines(NodeId(1), 4);
+        let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+        let cfg = DaemonConfig {
+            qps_per_connection: qps,
+            ..DaemonConfig::default()
+        };
+        let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
+        let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
+        let client = PortusClient::connect(&daemon, compute);
+        // 40 adjacent tensors: three gather runs (MAX_SGE = 16 each),
+        // so the four-QP seal pipe gets several pieces.
+        let layers = 40;
+        let materialize = |name: &str| {
+            let spec = test_spec(name, layers, 16 * 1024);
+            ModelInstance::materialize(&spec, &gpu, 9, Materialization::Owned).unwrap()
+        };
+        let mut full = materialize("full");
+        let mut delta = materialize("delta");
+        client.register_model(&full).unwrap();
+        client.register_model(&delta).unwrap();
+        ctx.tracer.enable();
+
+        // Three versions: the first delta has no history, the later
+        // ones could carry over but every tensor is dirty.
+        for round in 1..=3u64 {
+            full.train_step();
+            delta.train_step();
+            let f = client.checkpoint("full").unwrap();
+            let d = client
+                .checkpoint_delta("delta", &vec![true; layers])
+                .unwrap();
+            assert_eq!((f.version, d.version), (round, round), "qps {qps}");
+            assert_eq!(f.elapsed, d.elapsed, "qps {qps} round {round}");
+            assert_eq!(d.pulled_bytes, f.bytes);
+            assert_eq!(d.copied_bytes, 0);
+
+            let (fv, f_digest, f_recomputed, f_bytes) = latest_slot(&daemon, "full");
+            let (dv, d_digest, d_recomputed, d_bytes) = latest_slot(&daemon, "delta");
+            assert_eq!((fv, dv), (round, round));
+            assert_eq!(f_digest, f_recomputed, "qps {qps}: full seal is intact");
+            assert_eq!(f_digest, d_digest, "qps {qps} round {round}: digests");
+            assert_eq!(d_digest, d_recomputed);
+            assert!(f_bytes == d_bytes, "qps {qps} round {round}: slot bytes");
+        }
+
+        let full_spans = stage_durations(&ctx, "full");
+        let delta_spans = stage_durations(&ctx, "delta");
+        assert!(!full_spans.is_empty());
+        assert_eq!(full_spans, delta_spans, "qps {qps}: per-stage durations");
+        assert!(
+            delta_spans.iter().all(|s| s.0 != Stage::CarryCopy),
+            "an all-dirty delta carries nothing over"
+        );
+        drop(client);
+        daemon.shutdown();
+    }
 }

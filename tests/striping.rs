@@ -255,8 +255,8 @@ fn concurrent_striped_checkpoints_double_throughput() {
 /// Restore validates checkpoints from **both** write paths: striped
 /// checkpoints seal with the incrementally combined positional digest
 /// (`CKSUM_KIND_DIGEST`), classic ones with the same digest computed
-/// over the whole region after the pull — `verify_on_restore`
-/// recomputes it and both round-trip the model bytes exactly.
+/// over the whole region after the pull — restore recomputes it and
+/// both round-trip the model bytes exactly.
 #[test]
 fn restore_verifies_both_checksum_kinds() {
     // Striped: header carries a digest, no FNV word.
@@ -316,6 +316,30 @@ fn restore_verifies_both_checksum_kinds() {
     assert_ne!(hdr2.digest, hdr.digest, "content changed, digest must too");
     drop(w1.client);
     w1.daemon.shutdown();
+}
+
+/// A striped checkpoint of one 12 MiB tensor is one run, so the seal
+/// pipe hashes it as one piece read back off PMem — split across cores
+/// when the host has them. The sealed digest must equal a fresh
+/// [`portus::Index::slot_digest`], and the restore must verify and
+/// round-trip the bytes.
+#[test]
+fn one_large_striped_run_seals_the_slot_digest() {
+    let (w, mut model) = world("wide", 1, 12 << 20, 4, striped_cfg(4));
+    let saved = model.model_checksum();
+    w.client.checkpoint("wide").unwrap();
+    let index = w.daemon.index();
+    let (_, off) = index.live_entries().unwrap()[0];
+    let mi = index.load_mindex(off).unwrap();
+    let (slot, hdr) = mi.latest_done().unwrap();
+    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    assert_eq!(hdr.digest, index.slot_digest(&mi, slot).unwrap());
+    model.train_step(); // diverge
+    let r = w.client.restore(&model).unwrap();
+    assert_eq!(r.version, 1);
+    assert_eq!(model.model_checksum(), saved);
+    drop(w.client);
+    w.daemon.shutdown();
 }
 
 /// Striping is config-only: a 4-QP connection over single-engine NICs
