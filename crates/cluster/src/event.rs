@@ -1,12 +1,14 @@
-//! Multi-daemon fleet simulation on the discrete-event core.
+//! Multi-daemon fleet simulation on the discrete-event core — the one
+//! training harness.
 //!
-//! [`crate::run_training`] replays *one* client against analytic costs
-//! on a private timeline. This module drives a whole fleet — N storage
-//! daemons and M training clients — as event **actors** on one
-//! [`Engine`]: every iteration, checkpoint submission, and completion
-//! is a plan on the deterministic `(instant, plan id)` queue, each
-//! actor keeps its own local-time cursor, and daemon NICs are shared
-//! [`Resource`]s.
+//! This module drives a whole fleet — N storage daemons and M training
+//! clients — as event **actors** on one [`Engine`]: every iteration,
+//! checkpoint submission, and completion is a plan on the
+//! deterministic `(instant, plan id)` queue, each actor keeps its own
+//! local-time cursor, and daemon NICs are shared [`Resource`]s. The
+//! checkpoint policies' semantics (Fig. 9) live in exactly one place,
+//! the per-iteration client step; [`crate::run_training`] is this
+//! harness with one client on one daemon.
 //!
 //! That fixes the concurrent time-inflation of the shared additive
 //! clock: two clients checkpointing at the same instant against
@@ -26,8 +28,9 @@ use portus_sim::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::harness::Segment;
 use crate::ops::{portus_checkpoint_cost, torch_save_cost, JobShape};
-use crate::placement::{replica_order, stripe_plan, PlacementConfig};
+use crate::placement::{replica_order, stripe_plan, PlacementConfig, Stripe};
 use crate::policy::Policy;
 
 /// The tenant every client belongs to unless the config says
@@ -86,9 +89,9 @@ pub struct FleetConfig {
     /// (`None` = no reports).
     pub progress_every: Option<SimDuration>,
     /// Rendezvous placement with k-way replication and striping.
-    /// `None` (the default) keeps the legacy pinned-daemon datapath:
-    /// every Portus pull goes to `ClientSpec::daemon`, bit-for-bit
-    /// with pre-placement runs.
+    /// `None` (the default) pins every client: each Portus pull is one
+    /// whole-job stripe on `ClientSpec::daemon`, bit-for-bit with
+    /// pre-placement runs.
     #[serde(default)]
     pub placement: Option<PlacementConfig>,
     /// Deterministic daemon-loss schedule (requires `placement`).
@@ -183,8 +186,8 @@ pub struct ClientResult {
     /// daemon kill (always zero without a kill schedule).
     #[serde(default)]
     pub failed_checkpoints: u64,
-    /// Highest checkpoint version the client saw validate (`None` on
-    /// the legacy pinned path, where every checkpoint validates).
+    /// Highest Portus checkpoint version the client saw validate
+    /// (`None` when none did).
     #[serde(default)]
     pub latest_done_version: Option<u64>,
     /// The instant the client finished (including drain of in-flight
@@ -192,6 +195,10 @@ pub struct ClientResult {
     pub finished_at: SimTime,
     /// Total time training was stalled on checkpointing.
     pub checkpoint_stall: SimDuration,
+    /// Busy/idle spans tiling the client's run from its start to
+    /// `finished_at` (the Fig. 16 trace).
+    #[serde(default)]
+    pub segments: Vec<Segment>,
 }
 
 /// End-of-run restore accounting for one client's model: which version
@@ -267,8 +274,27 @@ struct ClientRun {
     /// Portus-async in-flight pull drain instant.
     pull_until: SimTime,
     finished_at: SimTime,
-    /// Placement write history (empty on the legacy pinned path).
+    /// Portus checkpoint write history.
     ckpts: Vec<CkptRec>,
+    /// Busy/idle spans recorded so far.
+    segments: Vec<Segment>,
+}
+
+impl ClientRun {
+    /// Records a span of constant GPU state (empty spans are dropped).
+    fn span(&mut self, start: SimTime, end: SimTime, busy: bool) {
+        if end > start {
+            self.segments.push(Segment { start, end, busy });
+        }
+    }
+
+    /// Stalls training for `d` from `from`: an idle span charged to
+    /// checkpointing. Returns the new cursor.
+    fn stall_for(&mut self, from: SimTime, d: SimDuration) -> SimTime {
+        self.span(from, from + d, false);
+        self.stall += d;
+        from + d
+    }
 }
 
 /// Fleet-wide shared state threaded through event closures.
@@ -300,50 +326,6 @@ impl Fleet {
         });
     }
 
-    /// Submits one Portus pull for `client` at `submit` on its daemon's
-    /// NIC; records spans/histograms and returns the completion grant
-    /// end. The daemon actor's cursor follows its NIC drain.
-    fn submit_pull(&mut self, eng: &mut Engine, client: usize, submit: SimTime) -> SimTime {
-        let (daemon, job, model, tenant) = {
-            let c = &self.clients[client];
-            (
-                c.spec.daemon,
-                c.spec.job,
-                c.spec.name.clone(),
-                c.spec.tenant.clone(),
-            )
-        };
-        let cost = portus_checkpoint_cost(&self.model, job);
-        let grant = self.nics[daemon].schedule(submit, cost);
-        eng.advance_actor_to(self.daemon_actors[daemon], grant.end);
-        let req_id = self.next_req_id;
-        self.next_req_id += 1;
-        for (stage, start, end) in [
-            (Stage::DispatchWait, submit, grant.start),
-            (Stage::Total, submit, grant.end),
-        ] {
-            self.tracer.record(SpanRecord {
-                req_id,
-                op: TraceOp::Checkpoint,
-                stage,
-                model: model.clone(),
-                start,
-                end,
-                round: 0,
-                lane: 0,
-            });
-            self.metrics
-                .record_stage(TraceOp::Checkpoint, stage, end.saturating_since(start));
-        }
-        self.metrics.tenant_admitted(&tenant, job.total_bytes);
-        self.metrics.record_tenant_op(
-            &tenant,
-            TraceOp::Checkpoint,
-            grant.end.saturating_since(submit),
-        );
-        grant.end
-    }
-
     /// Whether daemon `d` is up at instant `t` under the static kill
     /// schedule.
     fn up_at(&self, d: usize, t: SimTime) -> bool {
@@ -356,29 +338,81 @@ impl Fleet {
         self.kill_at[w.daemon].is_none_or(|k| w.end <= k)
     }
 
-    /// Submits one *replicated* checkpoint for `client` under the
-    /// placement config: every stripe is pulled by each of its target
-    /// daemons' NICs, the client completes at the max of the surviving
-    /// pulls, and the attempt validates iff every stripe keeps at
-    /// least one copy that drained before its daemon died. Returns
+    /// Where `client`'s next Portus checkpoint goes: the rendezvous
+    /// stripe plan under placement, otherwise one whole-job stripe on
+    /// the client's pinned daemon.
+    fn plan(&self, client: usize) -> Vec<Stripe> {
+        let spec = &self.clients[client].spec;
+        match &self.placement {
+            Some(p) => stripe_plan(&spec.name, spec.job, &self.alive, p),
+            None => vec![Stripe {
+                index: 0,
+                bytes: spec.job.total_bytes,
+                tensors: spec.job.tensor_count,
+                targets: vec![spec.daemon],
+            }],
+        }
+    }
+
+    /// Submits one Portus checkpoint for `client` at `submit`: every
+    /// stripe of its plan is pulled by each of its target daemons'
+    /// NICs, the client completes at the max of the surviving pulls,
+    /// and the attempt validates iff every stripe keeps at least one
+    /// copy that drained before its daemon died. Counts the attempt
+    /// and returns its client-visible end.
+    fn submit_checkpoint(&mut self, eng: &mut Engine, client: usize, submit: SimTime) -> SimTime {
+        let version = {
+            let c = &self.clients[client];
+            c.checkpoints + c.failed_checkpoints + 1
+        };
+        let plan = self.plan(client);
+        let to = match self.placement {
+            None => format!("daemon{}", self.clients[client].spec.daemon),
+            Some(_) => {
+                let mut targets: Vec<usize> = plan
+                    .iter()
+                    .flat_map(|s| s.targets.iter().copied())
+                    .collect();
+                targets.sort_unstable();
+                targets.dedup();
+                format!("daemons{targets:?}")
+            }
+        };
+        self.log(submit, client, format!("ckpt#{version}->{to}"));
+        let (end, ok) = self.pull_plan(eng, client, submit, version, &plan);
+        let c = &mut self.clients[client];
+        if ok {
+            c.checkpoints += 1;
+            c.latest_done = Some(version);
+        } else {
+            c.failed_checkpoints += 1;
+            self.log(
+                end,
+                client,
+                format!("ckpt#{version} lost (no surviving replica)"),
+            );
+        }
+        end
+    }
+
+    /// Pulls every stripe of `plan` for `client`; returns
     /// `(client-visible end, validated)`.
-    fn submit_replicated(
+    fn pull_plan(
         &mut self,
         eng: &mut Engine,
         client: usize,
         submit: SimTime,
         version: u64,
+        plan: &[Stripe],
     ) -> (SimTime, bool) {
-        let (job, model, tenant) = {
-            let c = &self.clients[client];
-            (c.spec.job, c.spec.name.clone(), c.spec.tenant.clone())
-        };
-        let p = self.placement.expect("placement path needs a config");
-        let plan = stripe_plan(&model, job, &self.alive, &p);
         if plan.is_empty() {
             // Every daemon is dead: the checkpoint has nowhere to go.
             return (submit, false);
         }
+        let (job, model, tenant) = {
+            let c = &self.clients[client];
+            (c.spec.job, c.spec.name.clone(), c.spec.tenant.clone())
+        };
         let stripes = plan.len() as u32;
         let mut rec = CkptRec {
             version,
@@ -388,7 +422,7 @@ impl Fleet {
         let mut client_end = submit;
         let mut first_start = SimTime::ZERO + SimDuration::from_nanos(u64::MAX);
         let mut all_ok = true;
-        for stripe in &plan {
+        for stripe in plan {
             let sjob = JobShape {
                 total_bytes: stripe.bytes,
                 tensor_count: stripe.tensors,
@@ -590,6 +624,17 @@ fn kill_daemon(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, d: usize) {
 
 /// Runs one iteration event for `client`, then schedules the next one
 /// at the client's new cursor.
+///
+/// Policy semantics (matching Fig. 9):
+/// * `TorchSave` — the whole save blocks at the checkpoint iteration;
+/// * `CheckFreq` — the snapshot blocks; serialize+write runs in the
+///   background; a new snapshot additionally blocks until the previous
+///   background persist has drained;
+/// * `PortusSync` — the pull blocks;
+/// * `PortusAsync` — the pull runs under compute; each parameter-update
+///   phase that begins while the pull is still in flight defers by up
+///   to one update-phase length, and a new pull waits for the previous
+///   one.
 fn step_client(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, client: usize) {
     let mut f = fleet.borrow_mut();
     let (actor, profile, policy, iterations) = {
@@ -605,91 +650,38 @@ fn step_client(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, client: usize) {
         .is_some_and(|k| k > 0 && i.is_multiple_of(k as u64));
 
     // --- checkpoint actions at the start of the iteration ---
-    let placed = f.placement.is_some()
-        && matches!(
-            policy,
-            Policy::PortusSync { .. } | Policy::PortusAsync { .. }
-        );
-    if trigger && placed {
-        // Placement path: the pull fans out to the rendezvous targets
-        // (k replicas per stripe) instead of the configured pin.
-        let version = f.clients[client].checkpoints + f.clients[client].failed_checkpoints + 1;
-        if matches!(policy, Policy::PortusAsync { .. }) {
-            let wait = f.clients[client].pull_until.saturating_since(cursor);
-            cursor += wait;
-            f.clients[client].stall += wait;
-        }
-        let targets: Vec<usize> = {
-            let spec_job = f.clients[client].spec.job;
-            let name = f.clients[client].spec.name.clone();
-            let p = f.placement.expect("placed path");
-            let mut t: Vec<usize> = stripe_plan(&name, spec_job, &f.alive, &p)
-                .iter()
-                .flat_map(|s| s.targets.iter().copied())
-                .collect();
-            t.sort_unstable();
-            t.dedup();
-            t
-        };
-        f.log(
-            cursor,
-            client,
-            format!("ckpt#{version}->daemons{targets:?}"),
-        );
-        let (end, ok) = f.submit_replicated(eng, client, cursor, version);
-        if ok {
-            f.clients[client].checkpoints += 1;
-            f.clients[client].latest_done = Some(version);
-        } else {
-            f.clients[client].failed_checkpoints += 1;
-            f.log(
-                end,
-                client,
-                format!("ckpt#{version} lost (no surviving replica)"),
-            );
-        }
-        match policy {
-            Policy::PortusSync { .. } => {
-                f.clients[client].stall += end.saturating_since(cursor);
-                cursor = end;
-            }
-            _ => f.clients[client].pull_until = end,
-        }
-    } else if trigger {
-        f.clients[client].checkpoints += 1;
-        let n = f.clients[client].checkpoints;
-        let daemon = f.clients[client].spec.daemon;
-        f.log(cursor, client, format!("ckpt#{n}->daemon{daemon}"));
+    if trigger {
         match policy {
             Policy::None => {}
-            Policy::TorchSave { backend, .. } => {
-                // The baseline path bypasses the Portus daemons: the
-                // whole save stalls the client on its own actor.
-                let job = f.clients[client].spec.job;
-                let op = torch_save_cost(&f.model, job, backend).total();
-                cursor += op;
-                f.clients[client].stall += op;
-            }
-            Policy::CheckFreq { backend, .. } => {
-                let job = f.clients[client].spec.job;
-                let op = torch_save_cost(&f.model, job, backend);
-                let wait = f.clients[client].background_until.saturating_since(cursor);
-                cursor = cursor + wait + op.snapshot;
-                f.clients[client].stall += wait + op.snapshot;
-                f.clients[client].background_until = cursor + op.persist_side();
+            Policy::TorchSave { backend, .. } | Policy::CheckFreq { backend, .. } => {
+                // The baseline paths bypass the Portus daemons and
+                // stall the client on its own actor.
+                f.clients[client].checkpoints += 1;
+                let n = f.clients[client].checkpoints;
+                let daemon = f.clients[client].spec.daemon;
+                f.log(cursor, client, format!("ckpt#{n}->daemon{daemon}"));
+                let op = torch_save_cost(&f.model, f.clients[client].spec.job, backend);
+                let c = &mut f.clients[client];
+                if let Policy::CheckFreq { .. } = policy {
+                    // Wait out the previous background persist; only
+                    // the snapshot itself stalls training.
+                    let wait = c.background_until.saturating_since(cursor);
+                    cursor = c.stall_for(cursor, wait);
+                    cursor = c.stall_for(cursor, op.snapshot);
+                    c.background_until = cursor + op.persist_side();
+                } else {
+                    cursor = c.stall_for(cursor, op.total());
+                }
             }
             Policy::PortusSync { .. } => {
-                let end = f.submit_pull(eng, client, cursor);
-                f.clients[client].stall += end.saturating_since(cursor);
-                cursor = end;
+                let end = f.submit_checkpoint(eng, client, cursor);
+                cursor = f.clients[client].stall_for(cursor, end.saturating_since(cursor));
             }
             Policy::PortusAsync { .. } => {
                 // A new pull waits for the previous one to drain.
-                let wait = f.clients[client].pull_until.saturating_since(cursor);
-                cursor += wait;
-                f.clients[client].stall += wait;
-                let end = f.submit_pull(eng, client, cursor);
-                f.clients[client].pull_until = end;
+                let c = &mut f.clients[client];
+                cursor = c.stall_for(cursor, c.pull_until.saturating_since(cursor));
+                f.clients[client].pull_until = f.submit_checkpoint(eng, client, cursor);
             }
         }
     }
@@ -698,28 +690,34 @@ fn step_client(fleet: &Rc<RefCell<Fleet>>, eng: &mut Engine, client: usize) {
     let busy = profile.gpu_busy();
     let intrinsic_idle = profile.total() - busy;
     let update_start = cursor + profile.forward + profile.backward;
+    let c = &mut f.clients[client];
     let mut iter_stall = SimDuration::ZERO;
-    if matches!(policy, Policy::PortusAsync { .. }) && f.clients[client].pull_until > update_start {
+    if matches!(policy, Policy::PortusAsync { .. }) && c.pull_until > update_start {
         // The update phase begins while tensors are still being
         // pulled: it defers by (up to) one update-phase length.
         iter_stall = profile
             .update
-            .min(f.clients[client].pull_until.saturating_since(update_start));
-        f.clients[client].stall += iter_stall;
+            .min(c.pull_until.saturating_since(update_start));
+        c.stall += iter_stall;
     }
-    cursor = cursor + busy + intrinsic_idle + iter_stall;
+    // Busy time is one contiguous span per iteration; the intrinsic
+    // idle tail models data-loading gaps.
+    c.span(cursor, cursor + busy, true);
+    cursor += busy;
+    c.span(cursor, cursor + intrinsic_idle + iter_stall, false);
+    cursor += intrinsic_idle + iter_stall;
     eng.advance_actor_to(actor, cursor);
 
-    f.clients[client].done = i;
+    c.done = i;
     if i < iterations {
         drop(f);
         let fleet = fleet.clone();
         eng.schedule_at(cursor, move |e| step_client(&fleet, e, client));
     } else {
         // Drain outstanding background work so runs are comparable.
-        let c = &f.clients[client];
         let drain_to = c.background_until.max(c.pull_until).max(cursor);
-        f.clients[client].finished_at = drain_to;
+        c.span(cursor, drain_to, false);
+        c.finished_at = drain_to;
         eng.advance_actor_to(actor, drain_to);
         f.log(drain_to, client, "done".to_string());
     }
@@ -790,6 +788,7 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
             pull_until: SimTime::ZERO,
             finished_at: SimTime::ZERO,
             ckpts: Vec::new(),
+            segments: Vec::new(),
         })
         .collect();
 
@@ -837,12 +836,17 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
             let mut rng = eng.fork_rng(idx as u64);
             SimTime::ZERO + SimDuration::from_nanos(rng.gen_range(cfg.start_jitter.as_nanos()))
         };
-        {
-            let mut f = fleet.borrow_mut();
-            let actor = f.clients[idx].actor;
-            eng.advance_actor_to(actor, start);
-            f.log(start, idx, "start".to_string());
+        let mut f = fleet.borrow_mut();
+        let actor = f.clients[idx].actor;
+        eng.advance_actor_to(actor, start);
+        f.log(start, idx, "start".to_string());
+        if f.clients[idx].spec.iterations == 0 {
+            // Nothing to run: the client is done the instant it starts.
+            f.clients[idx].finished_at = start;
+            f.log(start, idx, "done".to_string());
+            continue;
         }
+        drop(f);
         let fleet = fleet.clone();
         eng.schedule_at(start, move |e| step_client(&fleet, e, idx));
     }
@@ -939,6 +943,7 @@ pub fn run_fleet(m: &CostModel, cfg: &FleetConfig) -> FleetResult {
                 latest_done_version: c.latest_done,
                 finished_at: c.finished_at,
                 checkpoint_stall: c.stall,
+                segments: c.segments.clone(),
             })
             .collect(),
         events: f.events.clone(),
@@ -1034,30 +1039,58 @@ mod tests {
     }
 
     #[test]
-    fn fleet_clients_match_the_analytic_harness_solo() {
-        // One client, one daemon: the event path must agree with the
-        // single-timeline analytic harness on totals.
+    fn zero_iteration_clients_never_step() {
         let m = CostModel::icdcs24();
-        let cfg = fleet(1, 1);
+        let mut cfg = fleet(1, 1);
+        cfg.clients[0].policy = Policy::PortusSync { every: 1 };
+        cfg.clients[0].iterations = 0;
         let out = run_fleet(&m, &cfg);
-        let spec = &cfg.clients[0];
-        let analytic = crate::run_training(
-            &m,
-            &crate::TrainingConfig {
-                job: spec.job,
-                profile: spec.profile,
-                policy: spec.policy,
-            },
-            spec.iterations,
-        );
         let c = &out.clients[0];
-        assert_eq!(c.iterations, analytic.iterations);
-        assert_eq!(c.checkpoints, analytic.checkpoints);
-        assert_eq!(c.checkpoint_stall, analytic.checkpoint_stall);
-        assert_eq!(
-            c.finished_at.saturating_since(SimTime::ZERO),
-            analytic.elapsed
-        );
+        assert_eq!(c.iterations, 0);
+        assert_eq!(c.checkpoints, 0);
+        assert_eq!(c.finished_at, SimTime::ZERO);
+        assert!(c.segments.is_empty());
+        assert_eq!(out.makespan, SimDuration::ZERO);
+        let kinds: Vec<(SimTime, &str)> =
+            out.events.iter().map(|e| (e.at, e.kind.as_str())).collect();
+        assert_eq!(kinds, [(SimTime::ZERO, "start"), (SimTime::ZERO, "done")]);
+    }
+
+    #[test]
+    fn fleet_segments_tile_each_client_run() {
+        let m = CostModel::icdcs24();
+        let mut cfg = fleet(2, 4);
+        cfg.seed = 5;
+        cfg.start_jitter = SimDuration::from_millis(200);
+        for c in &mut cfg.clients {
+            c.policy = Policy::PortusAsync { every: 10 };
+        }
+        let out = run_fleet(&m, &cfg);
+        for c in &out.clients {
+            let start = out
+                .events
+                .iter()
+                .find(|e| e.actor == c.name && e.kind == "start")
+                .expect("every client logs its start")
+                .at;
+            let mut cursor = start;
+            for s in &c.segments {
+                assert_eq!(
+                    s.start, cursor,
+                    "{}: segments must tile without gaps",
+                    c.name
+                );
+                cursor = s.end;
+            }
+            assert_eq!(cursor, c.finished_at, "{}: segments end at finish", c.name);
+            let busy: SimDuration = c
+                .segments
+                .iter()
+                .filter(|s| s.busy)
+                .map(|s| s.end - s.start)
+                .sum();
+            assert_eq!(busy, profile().gpu_busy() * c.iterations);
+        }
     }
 
     #[test]

@@ -111,9 +111,10 @@ pub fn restore_cost(m: &CostModel, cfg: &TrainingConfig) -> SimDuration {
 /// entry of `failures` (absolute times). On failure the run rolls back
 /// to the last *completed* checkpoint, pays one restore, and resumes.
 ///
-/// The per-iteration cost (including checkpoint stalls) is taken as the
-/// policy's steady-state average, so this composes with
-/// [`crate::run_training`]'s accounting.
+/// The per-iteration cost (including checkpoint stalls) is the
+/// policy's steady-state average, probed with [`crate::run_training`]
+/// (a one-client fleet run), so failures compose with the same
+/// accounting as every other training figure.
 pub fn run_with_failures(
     m: &CostModel,
     cfg: &TrainingConfig,

@@ -1,14 +1,17 @@
-//! The end-to-end training harness.
+//! The single-job view of the training harness.
 //!
-//! Replays a training job on the virtual timeline under a checkpoint
-//! [`Policy`], producing throughput, stall, and GPU-busy accounting —
-//! the machinery behind Figs. 2, 9, 15 and 16.
+//! [`run_training`] replays one training job on the virtual timeline
+//! under a checkpoint [`Policy`] and reports throughput, stall, and
+//! GPU-busy accounting — the machinery behind Figs. 2, 9, 15 and 16.
+//! It is [`run_fleet`] with one client on one daemon, so a job's
+//! numbers cannot drift from the fleet's.
 
 use portus_dnn::IterationProfile;
 use portus_sim::{CostModel, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::ops::{portus_checkpoint_cost, torch_save_cost, JobShape};
+use crate::event::{run_fleet, FleetConfig};
+use crate::ops::JobShape;
 use crate::policy::Policy;
 
 /// A training run's static configuration.
@@ -51,145 +54,57 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Training throughput in iterations per second.
+    /// Training throughput in iterations per second (zero for a
+    /// zero-length run).
     pub fn throughput(&self) -> f64 {
-        self.iterations as f64 / self.elapsed.as_secs_f64()
+        self.per_second(self.iterations as f64)
     }
 
-    /// Mean GPU utilization over the whole run.
+    /// Mean GPU utilization over the whole run (zero for a zero-length
+    /// run).
     pub fn avg_utilization(&self) -> f64 {
-        self.gpu_busy.as_secs_f64() / self.elapsed.as_secs_f64()
+        self.per_second(self.gpu_busy.as_secs_f64())
     }
 
     /// Share of the run spent stalled on checkpointing (Fig. 2's
-    /// "checkpointing overhead").
+    /// "checkpointing overhead"; zero for a zero-length run).
     pub fn checkpoint_share(&self) -> f64 {
-        self.checkpoint_stall.as_secs_f64() / self.elapsed.as_secs_f64()
+        self.per_second(self.checkpoint_stall.as_secs_f64())
+    }
+
+    /// `x` per second of the run, or zero when the run took no time.
+    fn per_second(&self, x: f64) -> f64 {
+        if self.elapsed.is_zero() {
+            0.0
+        } else {
+            x / self.elapsed.as_secs_f64()
+        }
     }
 }
 
-/// Simulates `iterations` training iterations under `cfg.policy`.
-///
-/// Policy semantics (matching Fig. 9):
-/// * `TorchSave` — the whole save blocks at the checkpoint iteration;
-/// * `CheckFreq` — the snapshot blocks; serialize+write runs in the
-///   background; a new snapshot additionally blocks until the previous
-///   background persist has drained;
-/// * `PortusSync` — the pull blocks;
-/// * `PortusAsync` — the pull runs under compute; each parameter-update
-///   phase that begins while the pull is still in flight defers by one
-///   update-phase length, and a new pull waits for the previous one.
+/// Simulates `iterations` training iterations under `cfg.policy` (each
+/// [`Policy`] variant documents its Fig. 9 semantics): a one-client,
+/// one-daemon [`run_fleet`].
 pub fn run_training(m: &CostModel, cfg: &TrainingConfig, iterations: u64) -> RunResult {
-    let iter_time = cfg.profile.total();
-    let busy_per_iter = cfg.profile.gpu_busy();
-    // Busy time is modeled as a contiguous span per iteration; the
-    // intrinsic (non-checkpoint) idle tail models data loading gaps.
-    let intrinsic_idle = iter_time - busy_per_iter;
-
-    let mut t = SimTime::ZERO;
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut gpu_busy = SimDuration::ZERO;
-    let mut stall_total = SimDuration::ZERO;
-    let mut checkpoints = 0u64;
-
-    // CheckFreq background pipeline / Portus in-flight pull.
-    let mut background_until = SimTime::ZERO;
-    let mut pull_until = SimTime::ZERO;
-
-    let push = |segments: &mut Vec<Segment>, start: SimTime, end: SimTime, busy: bool| {
-        if end > start {
-            segments.push(Segment { start, end, busy });
-        }
-    };
-
-    for i in 1..=iterations {
-        let trigger = cfg
-            .policy
-            .interval()
-            .is_some_and(|k| k > 0 && i % k as u64 == 0);
-
-        // --- checkpoint actions at the start of the iteration ---
-        if trigger {
-            checkpoints += 1;
-            match cfg.policy {
-                Policy::None => {}
-                Policy::TorchSave { backend, .. } => {
-                    let op = torch_save_cost(m, cfg.job, backend).total();
-                    push(&mut segments, t, t + op, false);
-                    t += op;
-                    stall_total += op;
-                }
-                Policy::CheckFreq { backend, .. } => {
-                    let op = torch_save_cost(m, cfg.job, backend);
-                    // Wait out the previous background persist.
-                    let wait = background_until.saturating_since(t);
-                    push(&mut segments, t, t + wait, false);
-                    t += wait;
-                    stall_total += wait;
-                    // The snapshot itself stalls training.
-                    push(&mut segments, t, t + op.snapshot, false);
-                    t += op.snapshot;
-                    stall_total += op.snapshot;
-                    background_until = t + op.persist_side();
-                }
-                Policy::PortusSync { .. } => {
-                    let op = portus_checkpoint_cost(m, cfg.job);
-                    push(&mut segments, t, t + op, false);
-                    t += op;
-                    stall_total += op;
-                }
-                Policy::PortusAsync { .. } => {
-                    // A new pull waits for the previous one to drain.
-                    let wait = pull_until.saturating_since(t);
-                    push(&mut segments, t, t + wait, false);
-                    t += wait;
-                    stall_total += wait;
-                    pull_until = t + portus_checkpoint_cost(m, cfg.job);
-                }
-            }
-        }
-
-        // --- the iteration itself ---
-        let update_start = t + cfg.profile.forward + cfg.profile.backward;
-        let mut iter_stall = SimDuration::ZERO;
-        if matches!(cfg.policy, Policy::PortusAsync { .. }) && pull_until > update_start {
-            // The update phase begins while tensors are still being
-            // pulled: it defers by (up to) one update-phase length
-            // while the pull cursor clears the conflicting tensors.
-            iter_stall = cfg
-                .profile
-                .update
-                .min(pull_until.saturating_since(update_start));
-            stall_total += iter_stall;
-        }
-        push(&mut segments, t, t + busy_per_iter, true);
-        gpu_busy += busy_per_iter;
-        t += busy_per_iter;
-        push(&mut segments, t, t + intrinsic_idle + iter_stall, false);
-        t += intrinsic_idle + iter_stall;
-    }
-
-    // Drain any outstanding background work so the run is comparable.
-    let drain = background_until.max(pull_until).saturating_since(t);
-    if !drain.is_zero() {
-        push(&mut segments, t, t + drain, false);
-        t += drain;
-    }
-
+    let fleet = FleetConfig::uniform(1, 1, cfg.job, cfg.profile, cfg.policy, iterations);
+    let client = run_fleet(m, &fleet)
+        .clients
+        .pop()
+        .expect("a one-client fleet reports one client");
     RunResult {
-        iterations,
-        elapsed: t.saturating_since(SimTime::ZERO),
-        checkpoints,
-        checkpoint_stall: stall_total,
-        gpu_busy,
-        segments,
+        iterations: client.iterations,
+        elapsed: client.finished_at.saturating_since(SimTime::ZERO),
+        checkpoints: client.checkpoints,
+        checkpoint_stall: client.checkpoint_stall,
+        gpu_busy: cfg.profile.gpu_busy() * client.iterations,
+        segments: client.segments,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Backend;
+    use crate::ops::{portus_checkpoint_cost, Backend};
     use portus_dnn::zoo;
 
     fn gpt22_cfg(policy: Policy) -> TrainingConfig {
@@ -300,6 +215,17 @@ mod tests {
             stall_per_ckpt < op.as_secs_f64() / 3.0,
             "stall {stall_per_ckpt:.2}s vs op {op}"
         );
+    }
+
+    #[test]
+    fn zero_length_runs_report_zero_rates() {
+        let m = CostModel::icdcs24();
+        let r = run_training(&m, &gpt22_cfg(Policy::PortusSync { every: 1 }), 0);
+        assert_eq!(r.iterations, 0);
+        assert_eq!(r.elapsed, SimDuration::ZERO);
+        assert_eq!(r.throughput(), 0.0);
+        assert_eq!(r.avg_utilization(), 0.0);
+        assert_eq!(r.checkpoint_share(), 0.0);
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub struct DaemonConfig {
     pub dispatch_workers: usize,
     /// Bound of the dispatch queue's **normal class** (checkpoint
     /// traffic): at most this many requests wait for a worker. Once
-    /// full, a further checkpoint dispatch waits up to
-    /// [`DaemonConfig::shed_wait`] for space and is then **shed** with
+    /// full, a further checkpoint dispatch waits up to 500 ms of host
+    /// time (`SHED_WAIT`) for space and is then **shed** with
     /// a typed [`Reply::Throttled`] — overload is surfaced to the
     /// client instead of silently blocking the connection thread.
     /// Restores and control-plane requests ride the urgent class and
@@ -131,12 +131,6 @@ pub struct DaemonConfig {
     /// storm. Disabled, restores queue behind checkpoints in the
     /// bounded normal class (but are still never shed).
     pub priority_restore: bool,
-    /// How long (host wall clock — queueing charges no virtual time) a
-    /// checkpoint dispatch may wait for space on a full normal queue
-    /// before it is shed with [`Reply::Throttled`]. Generous by
-    /// default so a briefly-full queue still backpressures rather than
-    /// shedding.
-    pub shed_wait: Duration,
     /// Content-addressed deduplication (ROADMAP item 5). `None` (the
     /// default) keeps every checkpoint a plain contiguous region —
     /// bit-for-bit the pre-dedup daemon. `Some` formats (or recovers)
@@ -169,12 +163,17 @@ impl Default for DaemonConfig {
             qps_per_connection: 1,
             qos: QosConfig::default(),
             priority_restore: true,
-            shed_wait: Duration::from_millis(500),
             dedup: None,
             catalog: None,
         }
     }
 }
+
+/// How long (host wall clock — queueing charges no virtual time) a
+/// checkpoint dispatch may wait for space on a full normal queue before
+/// it is shed with [`Reply::Throttled`]. Generous, so a briefly-full
+/// queue still backpressures rather than shedding.
+const SHED_WAIT: Duration = Duration::from_millis(500);
 
 /// The `retry_after` hint carried by a queue-shed [`Reply::Throttled`]
 /// (virtual time; admission sheds compute the token bucket's exact
@@ -871,8 +870,7 @@ fn serve(
         // Checkpoints shed after the bounded wait; a restore demoted to
         // the normal class (priority disabled) waits forever — restores
         // are never shed.
-        let shed_wait = is_checkpoint.then_some(state.cfg.shed_wait);
-        match dispatcher.dispatch(job, class, shed_wait) {
+        match dispatcher.dispatch(job, class, is_checkpoint.then_some(SHED_WAIT)) {
             DispatchOutcome::Queued => {}
             DispatchOutcome::Shed(job) => {
                 drop(job);
