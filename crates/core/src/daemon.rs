@@ -61,6 +61,7 @@ use portus_rdma::{
     CompletionQueue, ControlChannel, Fabric, Nic, NodeId, PostedQueuePair, QueuePair, RdmaError,
     RegionTarget, SgEntry, WrId, MAX_SGE,
 };
+use portus_sim::hash::{combine_digests, region_digest};
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
 use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
@@ -1270,10 +1271,7 @@ fn copy_on_device(
             dev.read(src_off + done, &mut buf[..chunk])?;
             dev.write(dst_off + done, &buf[..chunk])?;
             if let Some(acc) = digest.as_mut() {
-                *acc = crate::combine_digests(
-                    *acc,
-                    crate::region_digest(&buf[..chunk], rel_off + done),
-                );
+                *acc = combine_digests(*acc, region_digest(&buf[..chunk], rel_off + done));
             }
             done += chunk as u64;
         }
@@ -1454,12 +1452,10 @@ impl DaemonState {
     }
 
     /// Verifies a `Done` slot before serving a restore with
-    /// [`Index::slot_intact`]: every seal writes the positional digest,
-    /// which is recomputed here (split across cores for large slots).
-    /// FNV is read-only legacy: a header an earlier build sealed with
-    /// [`crate::CKSUM_KIND_FNV`] is checked with the sequential
-    /// checksum. Both charge the same full-region DAX read, recorded on
-    /// the stats and as a `Checksum` span on `sc`.
+    /// [`Index::slot_intact`]: the slot's one integrity word, the
+    /// positional digest every seal writes, is recomputed here (split
+    /// across cores for large slots). Charges a full-region DAX read,
+    /// recorded on the stats and as a `Checksum` span on `sc`.
     fn verify_slot(
         &self,
         mi: &MIndex,
@@ -1790,7 +1786,7 @@ impl DaemonState {
     /// striped pool hands it one piece per run, arriving at the run's
     /// own fabric completion, so work for early runs overlaps, in
     /// virtual time, with later runs still in flight on the NIC
-    /// engines. Per-extent digests ([`crate::region_digest`]) combine
+    /// engines. Per-extent digests ([`region_digest`]) combine
     /// order-independently, so restore recomputes the same value from
     /// the region however the extents were cut. A DRAM-fallback daemon
     /// persists nothing; neither does an empty extent.
@@ -1845,7 +1841,7 @@ impl DaemonState {
                     d
                 }
             };
-            digest = crate::combine_digests(digest, d);
+            digest = combine_digests(digest, d);
         }
         // The request completes when the pipeline drains (advance_to is
         // monotonic, so an already-later clock is left alone).

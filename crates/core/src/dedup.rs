@@ -34,8 +34,9 @@
 //! cold extents trade restore read cost for capacity.
 
 use portus_pmem::{typed, PmemAlloc, PmemDevice};
+use portus_sim::hash::{combine_digests, region_digest};
 
-use crate::index::{combine_digests, name_hash, region_digest};
+use crate::index::name_hash;
 use crate::{Index, MIndex, PortusError, PortusResult, SlotState};
 
 const XMAP_MAGIC: u32 = 0x584D_4150; // "XMAP"
@@ -275,7 +276,6 @@ pub(crate) fn release_slot_extents(
     alloc.free(&map_alloc)?;
     let h = &mut mi.slots[slot];
     h.state = SlotState::Empty;
-    h.checksum = 0;
     h.digest = 0;
     h.ext_map = 0;
     Ok(map_alloc.len)

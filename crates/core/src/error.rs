@@ -177,6 +177,15 @@ pub enum PortusError {
     Daemon(String),
     /// A tensor name exceeds the fixed on-media name field.
     NameTooLong(String),
+    /// The namespace was formatted with an on-media format version this
+    /// build does not read. Recovery refuses it instead of misreading
+    /// its slot headers as corrupt.
+    UnsupportedFormat {
+        /// The version in the namespace's superblock.
+        found: u32,
+        /// The one version this build reads and writes.
+        supported: u32,
+    },
     /// An I/O error in the tooling (portusctl files).
     Io(std::io::Error),
 }
@@ -291,6 +300,12 @@ impl fmt::Display for PortusError {
             PortusError::Daemon(msg) => write!(f, "daemon error: {msg}"),
             PortusError::NameTooLong(name) => {
                 write!(f, "tensor name exceeds on-media field: {name}")
+            }
+            PortusError::UnsupportedFormat { found, supported } => {
+                write!(
+                    f,
+                    "namespace format version {found} is not supported (this build reads {supported})"
+                )
             }
             PortusError::Io(e) => write!(f, "i/o error: {e}"),
         }

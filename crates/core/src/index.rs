@@ -30,6 +30,7 @@ use std::sync::{Arc, OnceLock};
 
 use portus_dnn::{DType, TensorMeta};
 use portus_pmem::{typed, ExtentStore, PmemAlloc, PmemAllocator, PmemDevice, PmemError};
+use portus_sim::hash::{combine_digests, region_digest, Fnv1a};
 
 use crate::catalog::{Catalog, CatalogConfig};
 use crate::dedup::read_extent_map;
@@ -79,30 +80,21 @@ const TREC_MAX_DIMS: usize = 4;
 const TREC_LEN: u64 = 168;
 const TREC_RELOFF: u64 = 176;
 
-// Slot header fields (relative to the slot header offset). All eight
-// words live in the header's single 64-byte cache line, so writing the
-// digest fields adds no flush cost over the original five-word header.
+/// Superblock format version. Version 2 seals every slot with the
+/// positional digest alone; [`Index::recover`] refuses any other
+/// version rather than misread its headers as corrupt.
+const FORMAT_VERSION: u32 = 2;
+
+// Slot header fields (relative to the slot header offset). All words
+// live in the header's single 64-byte cache line. Words 16 and 48 are
+// retired (format 1 kept a second integrity word and its kind there):
+// they stay zero.
 const SH_STATE: u64 = 0;
 const SH_VERSION: u64 = 8;
-const SH_CHECKSUM: u64 = 16;
 const SH_DATA_OFF: u64 = 24;
 const SH_DATA_LEN: u64 = 32;
 const SH_DIGEST: u64 = 40;
-const SH_CKSUM_KIND: u64 = 48;
 const SH_EXT_MAP: u64 = 56;
-
-/// `cksum_kind`: the slot's integrity word is the legacy sequential
-/// FNV-1a of the data region (in `checksum`). Read-only legacy: the
-/// daemon no longer seals with it, but [`Index::slot_intact`] still
-/// verifies `Done` headers that earlier builds wrote this way. Headers
-/// that are not `Done` carry it as their cleared value.
-pub const CKSUM_KIND_FNV: u64 = 0;
-/// `cksum_kind`: the slot's integrity word is the order-independent
-/// positional digest (in `digest`); `checksum` is 0. Every seal writes
-/// this kind: the striped datapath combines it per WQE run, the
-/// single-QP seal computes it over the region with
-/// [`Index::slot_digest`].
-pub const CKSUM_KIND_DIGEST: u64 = 1;
 
 /// Flag bit: the training job using this model finished (repacker may
 /// reclaim everything but the latest version).
@@ -144,27 +136,22 @@ impl SlotState {
     }
 }
 
-/// One slot header, as stored on PMem.
+/// One slot header, as stored on PMem. Its one integrity word is
+/// `digest`, the positional digest of the data region that every seal
+/// writes and [`Index::slot_intact`] recomputes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotHeader {
     /// The slot's state.
     pub state: SlotState,
     /// Version number of the checkpoint in this slot.
     pub version: u64,
-    /// FNV-1a over the slot's data region (valid when `Done` and
-    /// `cksum_kind == CKSUM_KIND_FNV`, i.e. only on headers sealed by
-    /// earlier builds; 0 otherwise).
-    pub checksum: u64,
     /// Absolute PMem offset of the slot's TensorData region.
     pub data_off: u64,
     /// Region length (= the model's total bytes).
     pub data_len: u64,
-    /// Positional digest of the data region (valid when `Done` and
-    /// `cksum_kind == CKSUM_KIND_DIGEST`). See [`region_digest`].
+    /// Positional digest ([`region_digest`]) of the data region; valid
+    /// when `Done`, 0 otherwise.
     pub digest: u64,
-    /// Which integrity word validates the slot: [`CKSUM_KIND_FNV`] or
-    /// [`CKSUM_KIND_DIGEST`].
-    pub cksum_kind: u64,
     /// Absolute PMem offset of the slot's extent map, when the dedup
     /// tier holds this version as content-addressed extents instead of
     /// a contiguous region (`data_off` is 0 then). 0 on the plain path.
@@ -263,46 +250,11 @@ impl MIndex {
     }
 }
 
-/// SplitMix64 finalizer — position weights for [`region_digest`].
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Positional digest of `bytes`, which sit at slot-relative offset
-/// `base` within their data region: each byte contributes
-/// `(b + 1) * splitmix64(base + i)` and contributions combine with
-/// wrapping addition. Because addition is commutative and associative,
-/// digests of disjoint chunks that tile a region can be computed in any
-/// order — or on any queue pair — and summed with [`combine_digests`]
-/// to equal the whole region's digest, which is what lets the striped
-/// datapath checksum each WQE run as its completion drains instead of
-/// re-reading the full slot afterwards. The `+ 1` keeps zero bytes from
-/// vanishing, so a region of zeros at the wrong offset still mismatches.
-pub fn region_digest(bytes: &[u8], base: u64) -> u64 {
-    let mut acc = 0u64;
-    for (i, &b) in bytes.iter().enumerate() {
-        acc = acc.wrapping_add((b as u64 + 1).wrapping_mul(splitmix64(base + i as u64)));
-    }
-    acc
-}
-
-/// Combines the positional digests of two disjoint chunks of one data
-/// region (order-independent).
-pub fn combine_digests(a: u64, b: u64) -> u64 {
-    a.wrapping_add(b)
-}
-
 /// FNV-1a over a string (the ModelTable name hash).
 pub fn name_hash(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    let mut hash = Fnv1a::new();
+    hash.write(name.as_bytes());
+    hash.finish()
 }
 
 /// Size of the reusable device-I/O scratch buffer.
@@ -315,7 +267,7 @@ const MAX_DIGEST_LANES: usize = 4;
 /// is a visible share of the hashing it saves.
 const LANE_MIN_BYTES: u64 = 4 << 20;
 
-/// How many lanes [`Index::slot_digest`] splits a large region across:
+/// How many lanes [`Index::slot_checksum`] splits a large region across:
 /// the host's available parallelism, capped at [`MAX_DIGEST_LANES`].
 /// Read once — querying it costs a syscall and a cgroup-file parse,
 /// too much to pay on every seal of a small model.
@@ -387,7 +339,7 @@ impl Index {
         // Superblock.
         let mut sb = Vec::with_capacity(SUPER_SIZE as usize);
         sb.extend_from_slice(&SUPER_MAGIC.to_le_bytes());
-        sb.extend_from_slice(&1u32.to_le_bytes());
+        sb.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         sb.extend_from_slice(&table_cap.to_le_bytes());
         sb.extend_from_slice(&table_base.to_le_bytes());
         sb.extend_from_slice(&alloc_base.to_le_bytes());
@@ -429,11 +381,20 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on bad magic; corruption errors from the
+    /// [`PortusError::Daemon`] on bad magic or a corrupt MIndex record;
+    /// [`PortusError::UnsupportedFormat`] when the superblock's format
+    /// version is not this build's; corruption errors from the
     /// allocator.
     pub fn recover(dev: Arc<PmemDevice>) -> PortusResult<(Index, BTreeMap<String, u64>)> {
         if typed::read_u64(&dev, 0)? != SUPER_MAGIC {
             return Err(PortusError::Daemon("bad superblock magic".into()));
+        }
+        let found = typed::read_u32(&dev, 8)?;
+        if found != FORMAT_VERSION {
+            return Err(PortusError::UnsupportedFormat {
+                found,
+                supported: FORMAT_VERSION,
+            });
         }
         let table_cap = typed::read_u32(&dev, 12)?;
         let table_base = typed::read_u64(&dev, 16)?;
@@ -656,17 +617,13 @@ impl Index {
         typed::write_u32(dev, off + MI_LAYERS + 4, SLOT_COUNT as u32)?;
         typed::write_u64(dev, off + MI_TOTAL, total_bytes)?;
         typed::write_str(dev, off + MI_NAME, name)?;
-        // Slot headers: Empty, with their data regions recorded.
+        // Slot headers: Empty (all words zero, retired ones included),
+        // with their data regions recorded.
         for (s, d) in data.iter().enumerate() {
             let sh = off + MI_SLOT0 + s as u64 * SLOT_HDR_SIZE;
-            typed::write_u64(dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
-            typed::write_u64(dev, sh + SH_VERSION, 0)?;
-            typed::write_u64(dev, sh + SH_CHECKSUM, 0)?;
+            dev.write(sh, &[0u8; SLOT_HDR_SIZE as usize])?;
             typed::write_u64(dev, sh + SH_DATA_OFF, d.offset)?;
             typed::write_u64(dev, sh + SH_DATA_LEN, total_bytes)?;
-            typed::write_u64(dev, sh + SH_DIGEST, 0)?;
-            typed::write_u64(dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
-            typed::write_u64(dev, sh + SH_EXT_MAP, 0)?;
         }
         // Tensor records.
         let mut rel = 0u64;
@@ -725,21 +682,17 @@ impl Index {
                 SlotHeader {
                     state: SlotState::Empty,
                     version: 0,
-                    checksum: 0,
                     data_off: data[0].offset,
                     data_len: total_bytes,
                     digest: 0,
-                    cksum_kind: CKSUM_KIND_FNV,
                     ext_map: 0,
                 },
                 SlotHeader {
                     state: SlotState::Empty,
                     version: 0,
-                    checksum: 0,
                     data_off: data[1].offset,
                     data_len: total_bytes,
                     digest: 0,
-                    cksum_kind: CKSUM_KIND_FNV,
                     ext_map: 0,
                 },
             ],
@@ -750,27 +703,33 @@ impl Index {
     ///
     /// # Errors
     ///
-    /// [`PortusError::Daemon`] on bad magic or corrupt fields.
+    /// [`PortusError::Daemon`] on bad magic or corrupt fields: a tensor
+    /// table that runs past the device, a tensor with more than
+    /// `TREC_MAX_DIMS` dims, or tensor sizes that do not sum to the
+    /// record's total bytes.
     pub fn load_mindex(&self, off: u64) -> PortusResult<MIndex> {
         let dev = &self.dev;
+        let corrupt = |what: String| PortusError::Daemon(format!("{what} at offset {off}"));
         if typed::read_u32(dev, off)? != MINDEX_MAGIC {
-            return Err(PortusError::Daemon(format!(
-                "bad MIndex magic at offset {off}"
-            )));
+            return Err(corrupt("bad MIndex magic".into()));
         }
         let flags = typed::read_u64(dev, off + MI_FLAGS)?;
         let layers = typed::read_u32(dev, off + MI_LAYERS)?;
         let total_bytes = typed::read_u64(dev, off + MI_TOTAL)?;
         let (name, _) = typed::read_str(dev, off + MI_NAME)?;
+        // Bound the layer count by the device before allocating for it.
+        if off + MI_TENSORS + layers as u64 * TREC_SIZE > dev.capacity() {
+            return Err(corrupt(format!(
+                "MIndex layer count {layers} runs past the device"
+            )));
+        }
 
         let mut slots = [SlotHeader {
             state: SlotState::Empty,
             version: 0,
-            checksum: 0,
             data_off: 0,
             data_len: 0,
             digest: 0,
-            cksum_kind: CKSUM_KIND_FNV,
             ext_map: 0,
         }; SLOT_COUNT];
         for (s, slot) in slots.iter_mut().enumerate() {
@@ -778,11 +737,9 @@ impl Index {
             *slot = SlotHeader {
                 state: SlotState::from_u64(typed::read_u64(dev, sh + SH_STATE)?)?,
                 version: typed::read_u64(dev, sh + SH_VERSION)?,
-                checksum: typed::read_u64(dev, sh + SH_CHECKSUM)?,
                 data_off: typed::read_u64(dev, sh + SH_DATA_OFF)?,
                 data_len: typed::read_u64(dev, sh + SH_DATA_LEN)?,
                 digest: typed::read_u64(dev, sh + SH_DIGEST)?,
-                cksum_kind: typed::read_u64(dev, sh + SH_CKSUM_KIND)?,
                 ext_map: typed::read_u64(dev, sh + SH_EXT_MAP)?,
             };
         }
@@ -797,6 +754,11 @@ impl Index {
                 .ok_or_else(|| PortusError::Daemon(format!("bad dtype code {}", byte[0])))?;
             dev.read(t + TREC_NDIM, &mut byte)?;
             let ndim = byte[0] as usize;
+            if ndim > TREC_MAX_DIMS {
+                return Err(corrupt(format!(
+                    "tensor {tname} has {ndim} dims; max {TREC_MAX_DIMS}"
+                )));
+            }
             let mut shape = Vec::with_capacity(ndim);
             for d in 0..ndim {
                 shape.push(typed::read_u64(dev, t + TREC_DIMS + d as u64 * 8)?);
@@ -806,6 +768,14 @@ impl Index {
                 meta: TensorMeta::new(tname, dtype, shape),
                 rel_off,
             });
+        }
+        let sum = tensors
+            .iter()
+            .try_fold(0u64, |acc, t| acc.checked_add(t.meta.size_bytes()));
+        if sum != Some(total_bytes) {
+            return Err(corrupt(format!(
+                "tensor sizes do not sum to the MIndex total {total_bytes}"
+            )));
         }
         Ok(MIndex {
             offset: off,
@@ -818,7 +788,7 @@ impl Index {
     }
 
     /// Durably transitions a slot to `Active` with the new version
-    /// (checksum cleared). Step 2 of the persistence ordering.
+    /// (digest cleared). Step 2 of the persistence ordering.
     ///
     /// # Errors
     ///
@@ -826,11 +796,9 @@ impl Index {
     pub fn mark_slot_active(&self, mi: &MIndex, slot: usize, version: u64) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_VERSION, version)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
         // One cache line holds the whole header, so this flush also
-        // covers the digest words at no extra cost.
+        // covers the digest word at no extra cost.
         self.dev.persist(sh + SH_VERSION, 16)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Active.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
@@ -838,20 +806,17 @@ impl Index {
     }
 
     /// Durably transitions a slot to `Done`, validated by the positional
-    /// `digest` of its data region ([`CKSUM_KIND_DIGEST`]). Step 3 of the
-    /// persistence ordering: data must already be persisted. The digest
-    /// words share the header's cache line, so the integrity word and
-    /// the state flip cost one 8-byte persist each.
+    /// `digest` of its data region. Step 3 of the persistence ordering:
+    /// data must already be persisted. The integrity word and the state
+    /// flip cost one 8-byte persist each.
     ///
     /// # Errors
     ///
     /// Device errors.
     pub fn mark_slot_done(&self, mi: &MIndex, slot: usize, digest: u64) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, digest)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_DIGEST)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
+        self.dev.persist(sh + SH_DIGEST, 8)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Done.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
@@ -872,7 +837,7 @@ impl Index {
     /// Durably restores a slot header to `pre` — the header captured
     /// just before [`Index::mark_slot_active`] — after a checkpoint that
     /// moved **no** data into the slot failed. Only `version`,
-    /// `checksum`, and (last, so a crash mid-revert still leaves the
+    /// `digest`, and (last, so a crash mid-revert still leaves the
     /// slot invalid) `state` are rewritten: `data_off`/`data_len` stay
     /// as they are, because [`Index::ensure_slot_region`] may have
     /// legitimately allocated a fresh region the slot keeps.
@@ -886,7 +851,7 @@ impl Index {
     /// never reissued.
     ///
     /// Must not be used when any data landed in a previously-`Done`
-    /// slot — the old bytes are clobbered and the pre-call checksum
+    /// slot — the old bytes are clobbered and the pre-call digest
     /// would falsely validate them; use [`Index::collapse_slot`] there.
     ///
     /// # Errors
@@ -901,16 +866,14 @@ impl Index {
                 .max(typed::read_u64(&self.dev, sh + SH_VERSION)?)
         };
         typed::write_u64(&self.dev, sh + SH_VERSION, version)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, pre.checksum)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, pre.digest)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, pre.cksum_kind)?;
         self.dev.persist(sh + SH_VERSION, 16)?;
         typed::write_u64(&self.dev, sh + SH_STATE, pre.state.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
     }
 
-    /// Durably collapses a slot to `Empty` with the checksum cleared,
+    /// Durably collapses a slot to `Empty` with the digest cleared,
     /// abandoning whatever partial data a failed checkpoint left in its
     /// region. The region itself stays attached for reuse, and the
     /// slot's version is deliberately *kept*: it was already issued to
@@ -922,10 +885,8 @@ impl Index {
     /// Device errors.
     pub fn collapse_slot(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
-        self.dev.persist(sh + SH_CHECKSUM, 8)?;
+        self.dev.persist(sh + SH_DIGEST, 8)?;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
         self.dev.persist(sh + SH_STATE, 8)?;
         Ok(())
@@ -945,10 +906,8 @@ impl Index {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
         typed::write_u64(&self.dev, sh + SH_VERSION, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DATA_OFF, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
         typed::write_u64(&self.dev, sh + SH_EXT_MAP, 0)?;
         self.dev.persist(sh, SLOT_HDR_SIZE)?;
         Ok(())
@@ -974,7 +933,7 @@ impl Index {
     }
 
     /// Durably empties an extent-mapped slot in one header persist:
-    /// `state = Empty`, integrity words cleared, `ext_map = 0`; the
+    /// `state = Empty`, digest cleared, `ext_map = 0`; the
     /// version survives as the high-water mark (like
     /// [`Index::collapse_slot`]). The caller drops the extent
     /// references and frees the map region *afterwards* — a crash in
@@ -987,9 +946,7 @@ impl Index {
     pub fn detach_slot_extents(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
         let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
         typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
-        typed::write_u64(&self.dev, sh + SH_CHECKSUM, 0)?;
         typed::write_u64(&self.dev, sh + SH_DIGEST, 0)?;
-        typed::write_u64(&self.dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV)?;
         typed::write_u64(&self.dev, sh + SH_EXT_MAP, 0)?;
         self.dev.persist(sh, SLOT_HDR_SIZE)?;
         Ok(())
@@ -1029,32 +986,6 @@ impl Index {
         Ok(())
     }
 
-    /// FNV-1a checksum of a slot's data region (reads PMem). Read-only
-    /// legacy: the verifier for [`CKSUM_KIND_FNV`] headers sealed by
-    /// earlier builds; no seal writes this word any more.
-    ///
-    /// # Errors
-    ///
-    /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
-    /// region; device errors.
-    pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
-        let hdr = plain_slot(mi, slot)?;
-        with_io_buf(|buf| {
-            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut pos = 0u64;
-            while pos < hdr.data_len {
-                let chunk = ((hdr.data_len - pos) as usize).min(buf.len());
-                self.dev.read(hdr.data_off + pos, &mut buf[..chunk])?;
-                for &b in &buf[..chunk] {
-                    hash ^= b as u64;
-                    hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                pos += chunk as u64;
-            }
-            Ok(hash)
-        })
-    }
-
     /// Positional digest of a slot's data region (reads PMem): the word
     /// every seal writes. Because [`region_digest`] keys each byte by
     /// its slot-relative offset and chunks combine with
@@ -1068,14 +999,14 @@ impl Index {
     ///
     /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
     /// region; device errors.
-    pub fn slot_digest(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
+    pub fn slot_checksum(&self, mi: &MIndex, slot: usize) -> PortusResult<u64> {
         let hdr = plain_slot(mi, slot)?;
         self.range_digest(hdr.data_off, 0..hdr.data_len)
     }
 
     /// Positional digest of the slot-relative range `rel` of the data
     /// region at `data_off` (reads PMem), split across cores like
-    /// [`Index::slot_digest`]. The seal pipe hashes each extent it
+    /// [`Index::slot_checksum`]. The seal pipe hashes each extent it
     /// persisted with this: the whole region for a one-QP seal, one run
     /// at a time for a striped one.
     pub(crate) fn range_digest(&self, data_off: u64, rel: Range<u64>) -> PortusResult<u64> {
@@ -1130,10 +1061,8 @@ impl Index {
         Ok(acc)
     }
 
-    /// Recomputes a slot's integrity word the way the slot was sealed
-    /// (the positional digest for [`CKSUM_KIND_DIGEST`] slots, the
-    /// legacy FNV-1a for [`CKSUM_KIND_FNV`] headers from earlier builds)
-    /// and compares it with the header's stored word. An extent-mapped
+    /// Recomputes a slot's positional digest ([`Index::slot_checksum`])
+    /// and compares it with the header's `digest`. An extent-mapped
     /// slot must be materialized into a plain region first.
     ///
     /// # Errors
@@ -1141,12 +1070,7 @@ impl Index {
     /// [`PortusError::ExtentMappedSlot`] when the slot has no plain
     /// region; device errors.
     pub fn slot_intact(&self, mi: &MIndex, slot: usize) -> PortusResult<bool> {
-        let hdr = mi.slots[slot];
-        Ok(if hdr.cksum_kind == CKSUM_KIND_DIGEST {
-            self.slot_digest(mi, slot)? == hdr.digest
-        } else {
-            self.slot_checksum(mi, slot)? == hdr.checksum
-        })
+        Ok(self.slot_checksum(mi, slot)? == mi.slots[slot].digest)
     }
 
     /// Removes a model: clears its table entry first (so recovery never
@@ -1310,7 +1234,7 @@ mod tests {
         index.revert_slot(&mi, 1, &pre).unwrap();
         let after = index.load_mindex(mi.offset).unwrap();
         assert_eq!(after.slots[1].state, pre.state);
-        assert_eq!(after.slots[1].checksum, pre.checksum);
+        assert_eq!(after.slots[1].digest, pre.digest);
         assert_eq!(after.slots[1].data_off, pre.data_off);
         // The issued version survives as a high-water mark: v2 was
         // handed out, so the next checkpoint must be v3, not v2 again.
@@ -1328,7 +1252,7 @@ mod tests {
         mi = index.load_mindex(mi.offset).unwrap();
         let pre = mi.slots[0];
         // A restore-side caller reverting a Done header gets it back
-        // exactly: the data is still valid and the checksum must match.
+        // exactly: the data is still valid and the digest must match.
         index.revert_slot(&mi, 0, &pre).unwrap();
         let after = index.load_mindex(mi.offset).unwrap();
         assert_eq!(after.slots[0], pre);
@@ -1349,7 +1273,7 @@ mod tests {
             "the issued version is the high-water mark"
         );
         assert_eq!(after.next_version(), 2);
-        assert_eq!(after.slots[0].checksum, 0);
+        assert_eq!(after.slots[0].digest, 0);
         assert_eq!(after.slots[0].data_off, data_off, "region stays attached");
         assert!(after.latest_done().is_none());
     }
@@ -1452,16 +1376,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_checksum_reflects_data() {
-        let (dev, index) = fresh();
-        let mi = index.create_model("m", &metas(1, 4096)).unwrap();
-        let c0 = index.slot_checksum(&mi, 0).unwrap();
-        dev.write(mi.slots[0].data_off, &[7u8; 100]).unwrap();
-        let c1 = index.slot_checksum(&mi, 0).unwrap();
-        assert_ne!(c0, c1);
-    }
-
-    #[test]
     fn region_digest_tiles_commute() {
         let data: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 3) as u8).collect();
         let whole = region_digest(&data, 0);
@@ -1480,55 +1394,60 @@ mod tests {
     }
 
     #[test]
-    fn slot_digest_matches_run_combination() {
+    fn slot_checksum_reflects_data_and_matches_run_combination() {
         let (dev, index) = fresh();
         let mi = index.create_model("m", &metas(1, 4096)).unwrap();
+        let zeros = index.slot_checksum(&mi, 0).unwrap();
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         dev.write(mi.slots[0].data_off, &payload).unwrap();
-        let full = index.slot_digest(&mi, 0).unwrap();
+        let full = index.slot_checksum(&mi, 0).unwrap();
+        assert_ne!(zeros, full);
         let d0 = region_digest(&payload[..1500], 0);
         let d1 = region_digest(&payload[1500..], 1500);
         assert_eq!(combine_digests(d1, d0), full);
     }
 
-    /// FNV-1a as earlier builds sealed with, written out independently
-    /// of [`Index::slot_checksum`].
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
-        })
+    #[test]
+    fn recover_refuses_an_unknown_format_version() {
+        let (dev, index) = fresh();
+        index.create_model("m", &metas(1, 64)).unwrap();
+        drop(index);
+        typed::write_u32(&dev, 8, 1).unwrap();
+        assert!(matches!(
+            Index::recover(dev),
+            Err(PortusError::UnsupportedFormat {
+                found: 1,
+                supported: FORMAT_VERSION
+            })
+        ));
     }
 
     #[test]
-    fn legacy_fnv_done_header_still_verifies() {
+    fn recover_refuses_a_layer_count_past_the_device() {
         let (dev, index) = fresh();
-        let mi = index.create_model("old", &metas(1, 4096)).unwrap();
-        let payload: Vec<u8> = (0..4096u32).map(|i| (i * 13 + 1) as u8).collect();
-        let data_off = mi.slots[0].data_off;
-        dev.write(data_off, &payload).unwrap();
-        dev.persist(data_off, payload.len() as u64).unwrap();
-        index.mark_slot_active(&mi, 0, 1).unwrap();
-        // The header an earlier build's FNV seal left: checksum word and
-        // kind persisted first, then the `Done` flip.
-        let sh = mi.offset + MI_SLOT0;
-        typed::write_u64(&dev, sh + SH_CHECKSUM, fnv1a(&payload)).unwrap();
-        typed::write_u64(&dev, sh + SH_CKSUM_KIND, CKSUM_KIND_FNV).unwrap();
-        dev.persist(sh + SH_CHECKSUM, 8).unwrap();
-        typed::write_u64(&dev, sh + SH_STATE, SlotState::Done.to_u64()).unwrap();
-        dev.persist(sh + SH_STATE, 8).unwrap();
+        let mi = index.create_model("m", &metas(2, 64)).unwrap();
+        drop(index);
+        typed::write_u32(&dev, mi.offset + MI_LAYERS, u32::MAX).unwrap();
+        assert!(matches!(Index::recover(dev), Err(PortusError::Daemon(_))));
+    }
 
-        let mi = index.load_mindex(mi.offset).unwrap();
-        assert_eq!(mi.slots[0].state, SlotState::Done);
-        assert_eq!(mi.slots[0].cksum_kind, CKSUM_KIND_FNV);
-        assert!(
-            index.slot_intact(&mi, 0).unwrap(),
-            "legacy FNV seal verifies"
-        );
-        dev.write(data_off + 1234, &[payload[1234] ^ 0x01]).unwrap();
-        assert!(
-            !index.slot_intact(&mi, 0).unwrap(),
-            "one flipped byte fails"
-        );
+    #[test]
+    fn load_mindex_refuses_a_corrupt_tensor_record() {
+        let (dev, index) = fresh();
+        let mi = index.create_model("m", &metas(2, 64)).unwrap();
+        let t1 = mi.offset + MI_TENSORS + TREC_SIZE;
+        dev.write(t1 + TREC_NDIM, &[200]).unwrap();
+        assert!(matches!(
+            index.load_mindex(mi.offset),
+            Err(PortusError::Daemon(_))
+        ));
+        // A valid shape whose size disagrees with the record's total.
+        dev.write(t1 + TREC_NDIM, &[1]).unwrap();
+        typed::write_u64(&dev, t1 + TREC_DIMS, 17).unwrap();
+        assert!(matches!(
+            index.load_mindex(mi.offset),
+            Err(PortusError::Daemon(_))
+        ));
     }
 
     #[test]

@@ -89,9 +89,9 @@ pub use daemon::{ClientEndpoints, DaemonConfig, PortusDaemon};
 pub use dedup::DedupConfig;
 pub use error::{PortusError, PortusResult, ShardFailure, VerbFailure};
 pub use index::{
-    combine_digests, name_hash, region_digest, Index, MIndex, SlotHeader, SlotState, TensorRecord,
-    CKSUM_KIND_DIGEST, CKSUM_KIND_FNV, FLAG_JOB_COMPLETE, SLOT_COUNT,
+    name_hash, Index, MIndex, SlotHeader, SlotState, TensorRecord, FLAG_JOB_COMPLETE, SLOT_COUNT,
 };
+pub use portus_sim::hash::region_digest;
 pub use proto::{ModelSummary, Reply, Request, TensorDesc};
 pub use qos::{QosConfig, TenantQos, TokenBucket};
 pub use repack::{repack, RepackReport};

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use portus_mem::{GpuDevice, MemResult};
+use portus_sim::hash::combine_digests;
 
 use crate::{DType, GpuTensor, TensorMeta};
 
@@ -216,11 +217,16 @@ impl ModelInstance {
         self.tensors.iter().map(GpuTensor::checksum).collect()
     }
 
-    /// A combined checksum over all tensors.
+    /// Positional digest of all tensors laid end to end in layer order
+    /// — the layout of a checkpoint slot, so this equals the digest the
+    /// slot holding this state is sealed with.
     pub fn model_checksum(&self) -> u64 {
-        self.tensor_checksums()
-            .into_iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |acc, c| acc.rotate_left(13) ^ c)
+        let mut base = 0;
+        self.tensors.iter().fold(0, |acc, t| {
+            let d = t.buffer.digest(base);
+            base += t.meta.size_bytes();
+            combine_digests(acc, d)
+        })
     }
 
     /// Releases the GPU memory accounting for this instance's tensors.

@@ -78,18 +78,15 @@ impl Buffer {
         self.segment.write().write_at(offset, data)
     }
 
-    /// Checksum of the full contents.
+    /// Positional digest of the full contents at base 0.
     pub fn checksum(&self) -> u64 {
         self.segment.read().checksum()
     }
 
-    /// Checksum of a sub-range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bounds errors from the underlying segment.
-    pub fn checksum_range(&self, offset: u64, len: u64) -> MemResult<u64> {
-        self.segment.read().checksum_range(offset, len)
+    /// Positional digest of the full contents placed at offset `base`
+    /// of a larger region (see [`MemorySegment::digest`]).
+    pub fn digest(&self, base: u64) -> u64 {
+        self.segment.read().digest(base)
     }
 
     /// Copies the full contents into a fresh `Vec`. Intended for tests

@@ -2,18 +2,15 @@
 
 use std::fmt;
 
+use portus_sim::hash::{combine_digests, region_digest, splitmix64};
+
 use crate::{MemError, MemResult};
 
 /// Deterministic pseudo-random content generator (splitmix64 over 8-byte
 /// blocks). Used by [`Backing::Synthetic`] so multi-gigabyte "tensors" can
 /// be read byte-for-byte without being stored.
 fn synthetic_block(seed: u64, block_index: u64) -> [u8; 8] {
-    let mut z = seed ^ block_index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z.to_le_bytes()
+    splitmix64(seed ^ block_index.wrapping_mul(0x9E37_79B9_7F4A_7C15)).to_le_bytes()
 }
 
 /// How a [`MemorySegment`] stores its bytes.
@@ -154,34 +151,28 @@ impl MemorySegment {
         }
     }
 
-    /// FNV-1a checksum over the whole content (synthetic content is
-    /// generated on the fly). Streaming, so it works for any length.
+    /// Positional digest of the whole content at base 0 (synthetic
+    /// content is generated on the fly). Streaming, so it works for any
+    /// length.
     pub fn checksum(&self) -> u64 {
-        self.checksum_range(0, self.len)
-            .expect("full range is always in bounds")
+        self.digest(0)
     }
 
-    /// FNV-1a checksum over `[offset, offset+len)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfBounds`] if the range exceeds the segment.
-    pub fn checksum_range(&self, offset: u64, len: u64) -> MemResult<u64> {
-        self.check_range(offset, len)?;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    /// Positional digest ([`region_digest`]) of the whole content as if
+    /// it sat at offset `base` of a larger region, so the digests of
+    /// segments laid end to end combine into the region's digest.
+    pub fn digest(&self, base: u64) -> u64 {
+        let mut acc = 0u64;
         let mut buf = [0u8; 4096];
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let chunk = ((end - pos) as usize).min(buf.len());
-            self.read_at(pos, &mut buf[..chunk])?;
-            for &b in &buf[..chunk] {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+        let mut pos = 0u64;
+        while pos < self.len {
+            let chunk = ((self.len - pos) as usize).min(buf.len());
+            self.read_at(pos, &mut buf[..chunk])
+                .expect("in-bounds by construction");
+            acc = combine_digests(acc, region_digest(&buf[..chunk], base + pos));
             pos += chunk as u64;
         }
-        Ok(hash)
+        acc
     }
 }
 
@@ -248,15 +239,6 @@ mod tests {
         src.read_at(0, &mut copy).unwrap();
         let owned = MemorySegment::from_bytes(copy);
         assert_eq!(src.checksum(), owned.checksum());
-    }
-
-    #[test]
-    fn checksum_range_differs_from_full() {
-        let seg = MemorySegment::synthetic(256, 5);
-        let full = seg.checksum();
-        let part = seg.checksum_range(0, 128).unwrap();
-        assert_ne!(full, part);
-        assert!(seg.checksum_range(250, 10).is_err());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use portus_pmem::PmemDevice;
+use portus_sim::hash::{combine_digests, region_digest};
 use portus_sim::MemoryKind;
 
 use portus_mem::Buffer;
@@ -116,24 +117,23 @@ impl RegionTarget {
         }
     }
 
-    /// Checksum of the full window (for end-to-end verification).
+    /// Positional digest of the full window at base 0 (for end-to-end
+    /// verification): the same word for a buffer and a PMem window
+    /// holding the same bytes.
     pub fn checksum(&self) -> RdmaResult<u64> {
         match self {
             RegionTarget::Buffer(b) => Ok(b.checksum()),
             RegionTarget::Pmem { dev, base, len } => {
-                let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+                let mut acc = 0u64;
                 let mut buf = [0u8; 4096];
                 let mut pos = 0u64;
                 while pos < *len {
                     let chunk = ((*len - pos) as usize).min(buf.len());
                     dev.read(base + pos, &mut buf[..chunk])?;
-                    for &b in &buf[..chunk] {
-                        hash ^= b as u64;
-                        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-                    }
+                    acc = combine_digests(acc, region_digest(&buf[..chunk], pos));
                     pos += chunk as u64;
                 }
-                Ok(hash)
+                Ok(acc)
             }
         }
     }

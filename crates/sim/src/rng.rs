@@ -2,8 +2,8 @@
 //!
 //! Every random decision in an event-queue run must flow from the
 //! run's seed so two runs with the same seed replay bit-for-bit.
-//! [`SimRng`] is a small splitmix64 stream (the same finalizer the
-//! fault-injection plane uses): cheap, dependency-free, and good
+//! [`SimRng`] is a small [`splitmix64`] stream (the finalizer the
+//! fault-injection plane uses too): cheap, dependency-free, and good
 //! enough for jittering arrival times and breaking behavioural ties —
 //! it is *not* cryptographic.
 //!
@@ -11,13 +11,7 @@
 //! [`SimRng::fork`], keyed by a stable label, so adding a draw to one
 //! actor never perturbs another actor's sequence.
 
-/// splitmix64 — the standard 64-bit finalizer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use crate::hash::splitmix64;
 
 /// A deterministic seeded random stream.
 ///

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, SlotState, CKSUM_KIND_DIGEST};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, SlotState};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{CrashSpec, PmemDevice, PmemMode};
@@ -54,10 +54,6 @@ fn torn_checkpoint_scenario(completed: u64, seed: u64) -> (u64, u64, u64) {
     if completed >= 2 {
         // Both slots hold sealed versions, trained apart.
         let [a, b] = mi.slots;
-        assert_eq!(
-            (a.cksum_kind, b.cksum_kind),
-            (CKSUM_KIND_DIGEST, CKSUM_KIND_DIGEST)
-        );
         assert_ne!(a.digest, b.digest, "content changed, digest must too");
     }
     let target = mi.target_slot();
@@ -82,8 +78,7 @@ fn torn_checkpoint_scenario(completed: u64, seed: u64) -> (u64, u64, u64) {
     let index2 = daemon2.index();
     let (_, off2) = index2.live_entries().unwrap()[0];
     let mi2 = index2.load_mindex(off2).unwrap();
-    if let Some((slot, hdr)) = mi2.latest_done() {
-        assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
+    if let Some((slot, _)) = mi2.latest_done() {
         assert!(
             index2.slot_intact(&mi2, slot).unwrap(),
             "recovered Done slot failed integrity"

@@ -227,7 +227,6 @@ fn hashing_an_extent_mapped_slot_in_place_is_a_typed_error() {
         );
     };
     refused(index.slot_checksum(&mi, slot).map(drop));
-    refused(index.slot_digest(&mi, slot).map(drop));
     refused(index.slot_intact(&mi, slot).map(drop));
 
     m.train_step();

@@ -192,7 +192,7 @@ fn latest_slot(daemon: &PortusDaemon, name: &str) -> (u64, u64, u64, Vec<u8>) {
     let (slot, hdr) = mi.latest_done().expect("a complete version");
     let mut bytes = vec![0u8; hdr.data_len as usize];
     index.device().read(hdr.data_off, &mut bytes).unwrap();
-    let recomputed = index.slot_digest(&mi, slot).unwrap();
+    let recomputed = index.slot_checksum(&mi, slot).unwrap();
     (hdr.version, hdr.digest, recomputed, bytes)
 }
 

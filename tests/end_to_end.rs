@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError, CKSUM_KIND_DIGEST};
+use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
 use portus_dnn::{test_spec, Materialization, ModelInstance, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -217,8 +217,7 @@ fn checkpoint_of_updated_model_differs_from_previous_version() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi1 = index.load_mindex(off).unwrap();
     let (s1, h1) = mi1.latest_done().unwrap();
-    assert_eq!(h1.cksum_kind, CKSUM_KIND_DIGEST);
-    assert_eq!(index.slot_digest(&mi1, s1).unwrap(), h1.digest);
+    assert_eq!(index.slot_checksum(&mi1, s1).unwrap(), h1.digest);
     assert!(index.slot_intact(&mi1, s1).unwrap());
 
     model.train_step();
@@ -226,7 +225,6 @@ fn checkpoint_of_updated_model_differs_from_previous_version() {
     let mi2 = index.load_mindex(off).unwrap();
     let (s2, h2) = mi2.latest_done().unwrap();
     assert_ne!(s1, s2, "new version must land in the other slot");
-    assert_eq!(h2.cksum_kind, CKSUM_KIND_DIGEST);
     assert!(index.slot_intact(&mi2, s2).unwrap());
     assert_ne!(h1.digest, h2.digest, "content changed, digest must too");
 }
@@ -249,7 +247,6 @@ fn a_flipped_byte_in_the_last_digest_lane_fails_the_restore() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
     assert!(index.slot_intact(&mi, slot).unwrap());
     // The region's last byte lies in the last lane for any lane count.
     let at = hdr.data_off + hdr.data_len - 1;

@@ -3,11 +3,11 @@
 //! incremental positional digest, and the guarantee that
 //! `qps_per_connection = 1` keeps the classic datapath bit-for-bit.
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, CKSUM_KIND_DIGEST};
+use portus::{DaemonConfig, PortusClient, PortusDaemon};
 use portus_dnn::{test_spec, Materialization, ModelInstance};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
-use portus_rdma::{Fabric, NodeId, MAX_SGE};
+use portus_rdma::{Fabric, NodeId, RegionTarget, MAX_SGE};
 use portus_sim::{SimContext, Stage};
 
 const DAEMON_NODE: NodeId = NodeId(1);
@@ -253,13 +253,13 @@ fn concurrent_striped_checkpoints_double_throughput() {
 }
 
 /// Restore validates checkpoints from **both** write paths: striped
-/// checkpoints seal with the incrementally combined positional digest
-/// (`CKSUM_KIND_DIGEST`), classic ones with the same digest computed
-/// over the whole region after the pull — restore recomputes it and
-/// both round-trip the model bytes exactly.
+/// checkpoints seal with the incrementally combined positional digest,
+/// classic ones with the same digest computed over the whole region
+/// after the pull — restore recomputes it and both round-trip the
+/// model bytes exactly.
 #[test]
-fn restore_verifies_both_checksum_kinds() {
-    // Striped: header carries a digest, no FNV word.
+fn restore_verifies_striped_and_single_qp_seals() {
+    // Striped: the header carries the combined per-run digest.
     let (w, mut model) = world("digest", 32, 64 * 1024, 4, striped_cfg(4));
     let saved = model.model_checksum();
     w.client.checkpoint("digest").unwrap();
@@ -267,9 +267,7 @@ fn restore_verifies_both_checksum_kinds() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (_, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
     assert_ne!(hdr.digest, 0);
-    assert_eq!(hdr.checksum, 0, "digest-sealed slots carry no FNV word");
     model.train_step(); // diverge
     let r = w.client.restore(&model).unwrap();
     assert_eq!(r.version, 1);
@@ -298,9 +296,7 @@ fn restore_verifies_both_checksum_kinds() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
     assert_ne!(hdr.digest, 0);
-    assert_eq!(hdr.checksum, 0, "digest-sealed slots carry no FNV word");
     assert!(index.slot_intact(&mi, slot).unwrap());
     m1.train_step();
     let r = w1.client.restore(&m1).unwrap();
@@ -311,7 +307,6 @@ fn restore_verifies_both_checksum_kinds() {
     w1.client.checkpoint("classic").unwrap();
     let mi = index.load_mindex(off).unwrap();
     let (slot2, hdr2) = mi.latest_done().unwrap();
-    assert_eq!(hdr2.cksum_kind, CKSUM_KIND_DIGEST);
     assert!(index.slot_intact(&mi, slot2).unwrap());
     assert_ne!(hdr2.digest, hdr.digest, "content changed, digest must too");
     drop(w1.client);
@@ -321,7 +316,7 @@ fn restore_verifies_both_checksum_kinds() {
 /// A striped checkpoint of one 12 MiB tensor is one run, so the seal
 /// pipe hashes it as one piece read back off PMem — split across cores
 /// when the host has them. The sealed digest must equal a fresh
-/// [`portus::Index::slot_digest`], and the restore must verify and
+/// [`portus::Index::slot_checksum`], and the restore must verify and
 /// round-trip the bytes.
 #[test]
 fn one_large_striped_run_seals_the_slot_digest() {
@@ -332,14 +327,41 @@ fn one_large_striped_run_seals_the_slot_digest() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
-    assert_eq!(hdr.digest, index.slot_digest(&mi, slot).unwrap());
+    assert_eq!(hdr.digest, index.slot_checksum(&mi, slot).unwrap());
     model.train_step(); // diverge
     let r = w.client.restore(&model).unwrap();
     assert_eq!(r.version, 1);
     assert_eq!(model.model_checksum(), saved);
     drop(w.client);
     w.daemon.shutdown();
+}
+
+/// The one integrity word end to end: a model's checksum is the
+/// positional digest of its tensors laid out as in a slot, so after a
+/// checkpoint it equals the sealed header word, a fresh
+/// [`portus::Index::slot_checksum`] and the digest of the slot's PMem
+/// window — on the one-QP and the striped datapath alike.
+#[test]
+fn model_digest_equals_the_sealed_slot_digest() {
+    for qps in [1, 4] {
+        let (w, model) = world("same", 8, 24 * 1024 + 12, 4, striped_cfg(qps));
+        w.client.checkpoint("same").unwrap();
+        let index = w.daemon.index();
+        let (_, off) = index.live_entries().unwrap()[0];
+        let mi = index.load_mindex(off).unwrap();
+        let (slot, hdr) = mi.latest_done().unwrap();
+        let sum = model.model_checksum();
+        assert_eq!(sum, index.slot_checksum(&mi, slot).unwrap(), "{qps} QP(s)");
+        assert_eq!(sum, hdr.digest, "{qps} QP(s)");
+        let window = RegionTarget::Pmem {
+            dev: index.device().clone(),
+            base: hdr.data_off,
+            len: hdr.data_len,
+        };
+        assert_eq!(window.checksum().unwrap(), sum, "{qps} QP(s)");
+        drop(w.client);
+        w.daemon.shutdown();
+    }
 }
 
 /// Striping is config-only: a 4-QP connection over single-engine NICs
@@ -364,13 +386,11 @@ fn striping_degrades_gracefully_with_mismatched_engines() {
     let (_, off) = index.live_entries().unwrap()[0];
     let mi = index.load_mindex(off).unwrap();
     let (slot, hdr) = mi.latest_done().unwrap();
-    assert_eq!(hdr.cksum_kind, CKSUM_KIND_DIGEST);
     assert!(index.slot_intact(&mi, slot).unwrap());
     model2.train_step();
     w2.client.checkpoint("classic").unwrap();
     let mi = index.load_mindex(off).unwrap();
     let (slot2, hdr2) = mi.latest_done().unwrap();
-    assert_eq!(hdr2.cksum_kind, CKSUM_KIND_DIGEST);
     assert!(index.slot_intact(&mi, slot2).unwrap());
     assert_ne!(hdr2.digest, hdr.digest, "content changed, digest must too");
     drop(model2);
