@@ -22,7 +22,7 @@ use portus_rdma::{Access, ControlChannel, MemoryRegion, Nic, QueuePair, RegionTa
 use portus_sim::{MetricsSnapshot, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
 use crate::daemon::{ClientEndpoints, PortusDaemon};
-use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{write_op, ModelSummary, Reply, Request, TensorDesc};
 use crate::{PortusError, PortusResult};
 
 /// Result of one completed checkpoint operation.
@@ -72,6 +72,8 @@ pub struct PendingCheckpoint {
     req_id: u64,
     /// Virtual instant the request was sent (start of the Rpc span).
     sent: SimTime,
+    /// The traced op: a delta when the request carried a dirty mask.
+    op: TraceOp,
 }
 
 /// A client connection to a [`PortusDaemon`].
@@ -87,9 +89,9 @@ pub struct PortusClient {
     recv_gate: Mutex<()>,
     registered: Mutex<HashMap<String, Vec<Arc<MemoryRegion>>>>,
     inflight: Mutex<HashMap<String, PendingCheckpoint>>,
-    /// How many times a synchronous checkpoint honors a `Throttled`
-    /// reply's `retry_after` hint before surfacing the error (0 =
-    /// sheds surface immediately).
+    /// How many times a synchronous checkpoint (full or delta) honors a
+    /// `Throttled` reply's `retry_after` hint before surfacing the
+    /// error (0 = sheds surface immediately).
     throttle_retries: AtomicU64,
 }
 
@@ -136,10 +138,11 @@ impl PortusClient {
         }
     }
 
-    /// Lets synchronous checkpoints honor up to `retries` consecutive
-    /// [`PortusError::Throttled`] sheds: each retry waits out the
-    /// daemon's `retry_after` hint on the virtual clock and re-sends.
-    /// Zero (the default) surfaces the first shed to the caller.
+    /// Lets synchronous checkpoints, full and delta, honor up to
+    /// `retries` consecutive [`PortusError::Throttled`] sheds: each
+    /// retry waits out the daemon's `retry_after` hint on the virtual
+    /// clock and re-sends. Zero (the default) surfaces the first shed
+    /// to the caller.
     pub fn set_throttle_retries(&self, retries: u64) {
         self.throttle_retries.store(retries, Ordering::Relaxed);
     }
@@ -191,37 +194,74 @@ impl PortusClient {
 
     fn expect_ok(reply: Reply) -> PortusResult<Reply> {
         match reply {
-            Reply::Error { message, .. } => Err(PortusError::Daemon(message)),
-            // Rebuild the typed datapath error so callers can match on
-            // it and read the per-tensor attribution / retry counts.
-            Reply::DatapathFailed {
-                model,
-                op,
-                failures,
-                ..
-            } => Err(PortusError::DatapathFailed {
-                model,
-                op,
-                failures,
-            }),
-            Reply::OutOfSpace {
-                needed,
-                free,
-                largest_extent,
-                ..
-            } => Err(PortusError::OutOfSpace {
-                needed,
-                free,
-                largest_extent,
-            }),
-            Reply::Throttled { retry_after_ns, .. } => {
-                Err(PortusError::Throttled { retry_after_ns })
-            }
-            Reply::CatalogFull { capacity, .. } => Err(PortusError::CatalogFull { capacity }),
-            Reply::ChecksumMismatch { model, version, .. } => {
-                Err(PortusError::ChecksumMismatch { model, version })
-            }
+            Reply::Failed { error, .. } => Err(error),
             ok => Ok(ok),
+        }
+    }
+
+    fn unexpected(op: &str, reply: Reply) -> PortusError {
+        PortusError::Daemon(format!("unexpected reply to {op}: {reply:?}"))
+    }
+
+    /// Runs `attempt` again while it is shed with
+    /// [`PortusError::Throttled`] and the
+    /// [`PortusClient::set_throttle_retries`] budget lasts, waiting out
+    /// each `retry_after` hint on the virtual clock.
+    fn retry_throttled<T>(&self, mut attempt: impl FnMut() -> PortusResult<T>) -> PortusResult<T> {
+        let mut retries = self.throttle_retries.load(Ordering::Relaxed);
+        loop {
+            match attempt() {
+                Err(PortusError::Throttled { retry_after_ns }) if retries > 0 => {
+                    retries -= 1;
+                    self.ctx
+                        .clock
+                        .advance_by(SimDuration::from_nanos(retry_after_ns));
+                }
+                outcome => return outcome,
+            }
+        }
+    }
+
+    /// Sends one `DO_CHECKPOINT` of `model`, masked by `dirty` if given.
+    fn send_checkpoint(
+        &self,
+        model: &str,
+        dirty: Option<&[bool]>,
+    ) -> PortusResult<PendingCheckpoint> {
+        let req_id = self.fresh_id();
+        let sent = self.ctx.clock.now();
+        self.requests.send(Request::Checkpoint {
+            req_id,
+            model: model.to_string(),
+            dirty: dirty.map(<[bool]>::to_vec),
+        })?;
+        Ok(PendingCheckpoint {
+            req_id,
+            sent,
+            op: write_op(dirty),
+        })
+    }
+
+    /// Waits for the reply to a sent checkpoint, records its `Rpc`
+    /// span and decodes the written version.
+    fn wait_written(&self, model: &str, pending: PendingCheckpoint) -> PortusResult<DeltaReport> {
+        let reply = self.wait_reply(pending.req_id)?;
+        self.record_rpc(pending.req_id, pending.op, model, pending.sent);
+        match Self::expect_ok(reply)? {
+            Reply::CheckpointDone {
+                version,
+                pulled_bytes,
+                copied_bytes,
+                elapsed,
+                ..
+            } => Ok(DeltaReport {
+                model: model.to_string(),
+                version,
+                pulled_bytes,
+                copied_bytes,
+                elapsed,
+            }),
+            other => Err(Self::unexpected(pending.op.name(), other)),
         }
     }
 
@@ -267,19 +307,10 @@ impl PortusClient {
     /// Daemon-side failures (unregistered model, fabric errors);
     /// [`PortusError::Throttled`] once the retry budget is spent.
     pub fn checkpoint(&self, model: &str) -> PortusResult<CheckpointReport> {
-        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
-        loop {
+        self.retry_throttled(|| {
             let pending = self.checkpoint_async(model)?;
-            match self.wait_checkpoint(model, pending) {
-                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
-                    attempts -= 1;
-                    self.ctx
-                        .clock
-                        .advance_by(SimDuration::from_nanos(retry_after_ns));
-                }
-                outcome => return outcome,
-            }
-        }
+            self.wait_checkpoint(model, pending)
+        })
     }
 
     /// Asynchronous checkpoint: sends `DO_CHECKPOINT` and returns
@@ -301,13 +332,7 @@ impl PortusClient {
         if inflight.contains_key(model) {
             return Err(PortusError::AlreadyInFlight(model.to_string()));
         }
-        let req_id = self.fresh_id();
-        let sent = self.ctx.clock.now();
-        self.requests.send(Request::Checkpoint {
-            req_id,
-            model: model.to_string(),
-        })?;
-        let pending = PendingCheckpoint { req_id, sent };
+        let pending = self.send_checkpoint(model, None)?;
         inflight.insert(model.to_string(), pending);
         Ok(pending)
     }
@@ -326,33 +351,20 @@ impl PortusClient {
         model: &str,
         pending: PendingCheckpoint,
     ) -> PortusResult<CheckpointReport> {
-        let outcome = self.wait_reply(pending.req_id);
-        if outcome.is_ok() {
-            self.record_rpc(pending.req_id, TraceOp::Checkpoint, model, pending.sent);
-        }
+        let outcome = self.wait_written(model, pending);
         {
             let mut inflight = self.inflight.lock();
             if inflight.get(model) == Some(&pending) {
                 inflight.remove(model);
             }
         }
-        let reply = Self::expect_ok(outcome?)?;
-        match reply {
-            Reply::CheckpointDone {
-                version,
-                bytes,
-                elapsed,
-                ..
-            } => Ok(CheckpointReport {
-                model: model.to_string(),
-                version,
-                bytes,
-                elapsed,
-            }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to checkpoint: {other:?}"
-            ))),
-        }
+        let written = outcome?;
+        Ok(CheckpointReport {
+            model: written.model,
+            version: written.version,
+            bytes: written.pulled_bytes,
+            elapsed: written.elapsed,
+        })
     }
 
     /// Incremental checkpoint (extension; see DESIGN.md §9): only the
@@ -376,48 +388,10 @@ impl PortusClient {
         if self.has_inflight(model) {
             return Err(PortusError::AlreadyInFlight(model.to_string()));
         }
-        let mut attempts = self.throttle_retries.load(Ordering::Relaxed);
-        loop {
-            match self.checkpoint_delta_once(model, dirty) {
-                Err(PortusError::Throttled { retry_after_ns }) if attempts > 0 => {
-                    attempts -= 1;
-                    self.ctx
-                        .clock
-                        .advance_by(SimDuration::from_nanos(retry_after_ns));
-                }
-                outcome => return outcome,
-            }
-        }
-    }
-
-    fn checkpoint_delta_once(&self, model: &str, dirty: &[bool]) -> PortusResult<DeltaReport> {
-        let req_id = self.fresh_id();
-        let sent = self.ctx.clock.now();
-        self.requests.send(Request::DeltaCheckpoint {
-            req_id,
-            model: model.to_string(),
-            dirty: dirty.to_vec(),
-        })?;
-        let reply = self.wait_reply(req_id)?;
-        self.record_rpc(req_id, TraceOp::DeltaCheckpoint, model, sent);
-        match Self::expect_ok(reply)? {
-            Reply::DeltaDone {
-                version,
-                pulled_bytes,
-                copied_bytes,
-                elapsed,
-                ..
-            } => Ok(DeltaReport {
-                model: model.to_string(),
-                version,
-                pulled_bytes,
-                copied_bytes,
-                elapsed,
-            }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to delta checkpoint: {other:?}"
-            ))),
-        }
+        self.retry_throttled(|| {
+            let pending = self.send_checkpoint(model, Some(dirty))?;
+            self.wait_written(model, pending)
+        })
     }
 
     /// The Fig. 8 barrier: called by the training loop right before the
@@ -449,8 +423,9 @@ impl PortusClient {
     ///
     /// [`PortusError::ChecksumMismatch`] when the stored bytes fail the
     /// daemon's integrity check (nothing is pushed);
-    /// [`PortusError::Daemon`] wrapping `NoValidCheckpoint` or structure
-    /// mismatches.
+    /// [`PortusError::NoValidCheckpoint`] when no complete version is
+    /// stored; [`PortusError::ModelNotFound`] and
+    /// [`PortusError::StructureMismatch`] from the daemon's checks.
     pub fn restore(&self, model: &ModelInstance) -> PortusResult<RestoreReport> {
         self.restore_version(model, None)
     }
@@ -507,9 +482,7 @@ impl PortusClient {
                 bytes,
                 elapsed,
             }),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to restore: {other:?}"
-            ))),
+            other => Err(Self::unexpected("restore", other)),
         }
     }
 
@@ -559,9 +532,7 @@ impl PortusClient {
         self.requests.send(Request::List { req_id })?;
         match Self::expect_ok(self.wait_reply(req_id)?)? {
             Reply::Models { models, .. } => Ok(models),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to list: {other:?}"
-            ))),
+            other => Err(Self::unexpected("list", other)),
         }
     }
 
@@ -576,9 +547,7 @@ impl PortusClient {
         self.requests.send(Request::Stats { req_id })?;
         match Self::expect_ok(self.wait_reply(req_id)?)? {
             Reply::Stats { metrics, .. } => Ok(*metrics),
-            other => Err(PortusError::Daemon(format!(
-                "unexpected reply to stats: {other:?}"
-            ))),
+            other => Err(Self::unexpected("stats", other)),
         }
     }
 

@@ -42,8 +42,8 @@
 //! Multi-tenant QoS (see [`crate::qos`]) sits in front of all of this:
 //! each connection carries a tenant identity
 //! ([`PortusDaemon::accept_as`]), checkpoint traffic passes per-tenant
-//! token buckets before it may queue (over budget → typed
-//! [`Reply::Throttled`] with a `retry_after` hint), the dispatch pool
+//! token buckets before it may queue (over budget → a typed
+//! [`PortusError::Throttled`] with a `retry_after` hint), the dispatch pool
 //! runs two classes so restores overtake queued checkpoints, and the
 //! striped datapath confines concurrent tenants to weighted-fair lane
 //! shares.
@@ -64,7 +64,7 @@ use portus_rdma::{
 use portus_sim::hash::{combine_digests, region_digest};
 use portus_sim::{Metrics, Resource, SimContext, SimDuration, SimTime, SpanRecord, Stage, TraceOp};
 
-use crate::proto::{ModelSummary, Reply, Request, TensorDesc};
+use crate::proto::{write_op, ModelSummary, Reply, Request, TensorDesc};
 use crate::qos::{QosConfig, QosState, TenantCtx};
 use crate::{
     Index, MIndex, PortusError, PortusResult, SlotHeader, SlotState, TensorRecord, VerbFailure,
@@ -89,7 +89,7 @@ pub struct DaemonConfig {
     /// traffic): at most this many requests wait for a worker. Once
     /// full, a further checkpoint dispatch waits up to 500 ms of host
     /// time (`SHED_WAIT`) for space and is then **shed** with
-    /// a typed [`Reply::Throttled`] — overload is surfaced to the
+    /// a typed [`PortusError::Throttled`] — overload is surfaced to the
     /// client instead of silently blocking the connection thread.
     /// Restores and control-plane requests ride the urgent class and
     /// are never shed. Current depth, high-water mark, and this
@@ -172,11 +172,11 @@ impl Default for DaemonConfig {
 
 /// How long (host wall clock — queueing charges no virtual time) a
 /// checkpoint dispatch may wait for space on a full normal queue before
-/// it is shed with [`Reply::Throttled`]. Generous, so a briefly-full
+/// it is shed with [`PortusError::Throttled`]. Generous, so a briefly-full
 /// queue still backpressures rather than shedding.
 const SHED_WAIT: Duration = Duration::from_millis(500);
 
-/// The `retry_after` hint carried by a queue-shed [`Reply::Throttled`]
+/// The `retry_after` hint carried by a queue-shed [`PortusError::Throttled`]
 /// (virtual time; admission sheds compute the token bucket's exact
 /// deficit instead).
 const SHED_RETRY_AFTER: SimDuration = SimDuration::from_millis(1);
@@ -223,7 +223,7 @@ struct QueueInner {
 /// jobs. A full normal queue backpressures the dispatching connection
 /// thread for a bounded wait, then **sheds** the job back to the caller
 /// ([`DispatchOutcome::Shed`]) so overload turns into a typed
-/// [`Reply::Throttled`] instead of an indefinitely blocked connection.
+/// [`PortusError::Throttled`] instead of an indefinitely blocked connection.
 /// Queue depth and its high-water mark are exported as gauges on the
 /// shared [`Metrics`].
 struct Dispatcher {
@@ -729,12 +729,11 @@ impl<'a> SpanCtx<'a> {
 /// three traced operations, `None` for control-plane requests.
 fn span_meta(req: &Request) -> Option<(u64, TraceOp, String)> {
     match req {
-        Request::Checkpoint { req_id, model } => {
-            Some((*req_id, TraceOp::Checkpoint, model.clone()))
-        }
-        Request::DeltaCheckpoint { req_id, model, .. } => {
-            Some((*req_id, TraceOp::DeltaCheckpoint, model.clone()))
-        }
+        Request::Checkpoint {
+            req_id,
+            model,
+            dirty,
+        } => Some((*req_id, write_op(dirty.as_deref()), model.clone())),
         Request::Restore { req_id, model, .. } => Some((*req_id, TraceOp::Restore, model.clone())),
         _ => None,
     }
@@ -749,9 +748,8 @@ fn span_meta(req: &Request) -> Option<(u64, TraceOp, String)> {
 /// everything, but the mask is the client's own declared intent).
 fn checkpoint_cost(state: &DaemonState, req: &Request) -> Option<u64> {
     match req {
-        Request::Checkpoint { model, .. } => Some(session_bytes(state, model, None)),
-        Request::DeltaCheckpoint { model, dirty, .. } => {
-            Some(session_bytes(state, model, Some(dirty)))
+        Request::Checkpoint { model, dirty, .. } => {
+            Some(session_bytes(state, model, dirty.as_deref()))
         }
         _ => None,
     }
@@ -802,17 +800,24 @@ fn serve(
             break;
         }
         let metrics = &state.ctx.metrics;
+        let req_id = req.req_id().unwrap_or(0);
+        // A shed request is answered at once: nothing was done, and the
+        // client may retry after `retry_after`.
+        let shed = |retry_after: SimDuration| {
+            let error = PortusError::Throttled {
+                retry_after_ns: retry_after.as_nanos(),
+            };
+            let _ = replies.send(Reply::Failed { req_id, error });
+        };
         // Token-bucket admission: checkpoint traffic only. Restores are
         // latency-critical recovery traffic and bypass the buckets; the
         // control plane is too cheap to meter.
-        if let Some(bytes) = checkpoint_cost(&state, &req) {
+        let cost = checkpoint_cost(&state, &req);
+        if let Some(bytes) = cost {
             let now = state.ctx.clock.now();
             if let Err(wait) = state.qos.admit(&tenant, bytes, now) {
                 metrics.tenant_throttled(&tenant.name);
-                let _ = replies.send(Reply::Throttled {
-                    req_id: req.req_id().unwrap_or(0),
-                    retry_after_ns: wait.as_nanos(),
-                });
+                shed(wait);
                 continue;
             }
             metrics.tenant_admitted(&tenant.name, bytes);
@@ -820,16 +825,11 @@ fn serve(
             let bytes = tensors.iter().map(TensorDesc::size_bytes).sum();
             metrics.tenant_admitted(&tenant.name, bytes);
         }
-        let is_checkpoint = matches!(
-            req,
-            Request::Checkpoint { .. } | Request::DeltaCheckpoint { .. }
-        );
         let class = match &req {
-            Request::Checkpoint { .. } | Request::DeltaCheckpoint { .. } => JobClass::Normal,
+            Request::Checkpoint { .. } => JobClass::Normal,
             Request::Restore { .. } if !state.cfg.priority_restore => JobClass::Normal,
             _ => JobClass::Urgent,
         };
-        let req_id = req.req_id().unwrap_or(0);
         let meta = span_meta(&req);
         let enqueued = state.ctx.clock.now();
         let job: Job = Box::new({
@@ -848,7 +848,8 @@ fn serve(
                     let sc = SpanCtx::new(&state.ctx, *req_id, *op, model);
                     sc.record_now(Stage::DispatchWait, enqueued);
                 }
-                let reply = handle_request(&state, &pool, &tenant, req);
+                let reply = handle_request(&state, &pool, &tenant, req)
+                    .unwrap_or_else(|error| Reply::Failed { req_id, error });
                 state.in_flight.fetch_sub(1, Ordering::Relaxed);
                 // Per-tenant end-to-end latency (dispatch wait included
                 // — exactly what a tenant experiences).
@@ -871,15 +872,12 @@ fn serve(
         // Checkpoints shed after the bounded wait; a restore demoted to
         // the normal class (priority disabled) waits forever — restores
         // are never shed.
-        match dispatcher.dispatch(job, class, is_checkpoint.then_some(SHED_WAIT)) {
+        match dispatcher.dispatch(job, class, cost.map(|_| SHED_WAIT)) {
             DispatchOutcome::Queued => {}
             DispatchOutcome::Shed(job) => {
                 drop(job);
-                state.ctx.metrics.tenant_shed(&tenant.name);
-                let _ = replies.send(Reply::Throttled {
-                    req_id,
-                    retry_after_ns: SHED_RETRY_AFTER.as_nanos(),
-                });
+                metrics.tenant_shed(&tenant.name);
+                shed(SHED_RETRY_AFTER);
             }
             // The pool is draining (shutdown raced a late request); run
             // the job inline so the client still gets its reply.
@@ -888,92 +886,47 @@ fn serve(
     }
 }
 
-/// Maps a handler error onto the wire. Datapath failures keep their
-/// structure (model, op, per-WQE tensor attribution and retry counts)
-/// so the client can rebuild the typed
-/// [`PortusError::DatapathFailed`]; out-of-space, a full catalog and an
-/// integrity mismatch keep theirs too; everything else is rendered into
-/// [`Reply::Error`].
-fn error_reply(req_id: u64, e: PortusError) -> Reply {
-    match e {
-        PortusError::DatapathFailed {
-            model,
-            op,
-            failures,
-        } => Reply::DatapathFailed {
-            req_id,
-            model,
-            op,
-            failures,
-        },
-        PortusError::OutOfSpace {
-            needed,
-            free,
-            largest_extent,
-        } => Reply::OutOfSpace {
-            req_id,
-            needed,
-            free,
-            largest_extent,
-        },
-        PortusError::CatalogFull { capacity } => Reply::CatalogFull { req_id, capacity },
-        PortusError::ChecksumMismatch { model, version } => Reply::ChecksumMismatch {
-            req_id,
-            model,
-            version,
-        },
-        other => Reply::Error {
-            req_id,
-            message: other.to_string(),
-        },
-    }
-}
-
 /// Executes one request against the daemon state and builds its reply.
-fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: Request) -> Reply {
-    match req {
+/// A failure crosses the wire as itself, in [`Reply::Failed`].
+fn handle_request(
+    state: &DaemonState,
+    pool: &QpPool,
+    tenant: &TenantCtx,
+    req: Request,
+) -> PortusResult<Reply> {
+    Ok(match req {
         // The connection thread consumes Disconnect; answer defensively
         // if one is ever routed here.
-        Request::Disconnect => Reply::Error {
-            req_id: 0,
-            message: "disconnect is handled by the connection thread".to_string(),
-        },
+        Request::Disconnect => {
+            return Err(PortusError::Daemon(
+                "disconnect is handled by the connection thread".to_string(),
+            ))
+        }
         Request::Register {
             req_id,
             model,
             tensors,
-        } => match state.register(&model, tensors) {
-            Ok(()) => Reply::Registered {
+        } => {
+            state.register(&model, tensors)?;
+            Reply::Registered {
                 req_id,
                 slots: crate::SLOT_COUNT as u8,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::DeltaCheckpoint {
+            }
+        }
+        // The paper's `DO_CHECKPOINT`; without a mask every tensor is
+        // dirty and everything it pulls is the whole model.
+        Request::Checkpoint {
             req_id,
             model,
             dirty,
-        } => match state.write_version(pool, tenant, &model, Some(&dirty), req_id) {
-            Ok(w) => Reply::DeltaDone {
+        } => {
+            let w = state.write_version(pool, tenant, &model, dirty.as_deref(), req_id)?;
+            Reply::CheckpointDone {
                 req_id,
                 version: w.version,
                 pulled_bytes: w.pulled,
                 copied_bytes: w.copied,
                 elapsed: w.elapsed,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
-        // The paper's `DO_CHECKPOINT`: the all-dirty case of the same
-        // write, so everything it pulls is the whole model.
-        Request::Checkpoint { req_id, model } => {
-            match state.write_version(pool, tenant, &model, None, req_id) {
-                Ok(w) => Reply::CheckpointDone {
-                    req_id,
-                    version: w.version,
-                    bytes: w.pulled,
-                    elapsed: w.elapsed,
-                },
-                Err(e) => error_reply(req_id, e),
             }
         }
         Request::Restore {
@@ -981,26 +934,27 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
             model,
             tensors,
             version,
-        } => match state.restore(pool, tenant, &model, &tensors, version, req_id) {
-            Ok((version, bytes, elapsed)) => Reply::RestoreDone {
+        } => {
+            let (version, bytes, elapsed) =
+                state.restore(pool, tenant, &model, &tensors, version, req_id)?;
+            Reply::RestoreDone {
                 req_id,
                 version,
                 bytes,
                 elapsed,
-            },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::MarkComplete { req_id, model } => match state.mark_complete(&model) {
-            Ok(()) => Reply::Completed { req_id },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::Drop { req_id, model } => match state.drop_model(&model) {
-            Ok(()) => Reply::Dropped { req_id },
-            Err(e) => error_reply(req_id, e),
-        },
-        Request::List { req_id } => match state.list_models() {
-            Ok(models) => Reply::Models { req_id, models },
-            Err(e) => error_reply(req_id, e),
+            }
+        }
+        Request::MarkComplete { req_id, model } => {
+            state.mark_complete(&model)?;
+            Reply::Completed { req_id }
+        }
+        Request::Drop { req_id, model } => {
+            state.drop_model(&model)?;
+            Reply::Dropped { req_id }
+        }
+        Request::List { req_id } => Reply::Models {
+            req_id,
+            models: state.list_models()?,
         },
         Request::Stats { req_id } => {
             // Space gauges are refreshed lazily; a stats query must
@@ -1012,7 +966,7 @@ fn handle_request(state: &DaemonState, pool: &QpPool, tenant: &TenantCtx, req: R
                 metrics: Box::new(state.ctx.metrics.snapshot()),
             }
         }
-    }
+    })
 }
 
 /// One tensor's contribution to a posted datapath operation.
@@ -1895,10 +1849,8 @@ impl DaemonState {
         dirty: Option<&[bool]>,
         req_id: u64,
     ) -> PortusResult<Written> {
-        let (trace_op, op) = match dirty {
-            None => (TraceOp::Checkpoint, "checkpoint"),
-            Some(_) => (TraceOp::DeltaCheckpoint, "delta-checkpoint"),
-        };
+        let trace_op = write_op(dirty);
+        let op = trace_op.name();
         let sc = SpanCtx::new(&self.ctx, req_id, trace_op, model);
         let _active = self.qos.arbiter.op_guard(tenant);
         let lock = self.model_lock(model);

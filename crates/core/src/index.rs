@@ -822,18 +822,6 @@ impl Index {
         Ok(())
     }
 
-    /// Durably resets a slot to `Empty` (used by the repacker).
-    ///
-    /// # Errors
-    ///
-    /// Device errors.
-    pub fn mark_slot_empty(&self, mi: &MIndex, slot: usize) -> PortusResult<()> {
-        let sh = mi.offset + MI_SLOT0 + slot as u64 * SLOT_HDR_SIZE;
-        typed::write_u64(&self.dev, sh + SH_STATE, SlotState::Empty.to_u64())?;
-        self.dev.persist(sh + SH_STATE, 8)?;
-        Ok(())
-    }
-
     /// Durably restores a slot header to `pre` — the header captured
     /// just before [`Index::mark_slot_active`] — after a checkpoint that
     /// moved **no** data into the slot failed. Only `version`,

@@ -8,9 +8,9 @@
 
 use portus_dnn::{DType, GpuTensor, TensorMeta};
 use portus_rdma::MemoryRegion;
-use portus_sim::{MetricsSnapshot, SimDuration};
+use portus_sim::{MetricsSnapshot, SimDuration, TraceOp};
 
-use crate::{Index, PortusResult};
+use crate::{Index, PortusError, PortusResult};
 
 /// One tensor's registration: its metadata plus the remote key of the
 /// GPU memory region holding it.
@@ -60,24 +60,18 @@ pub enum Request {
         /// Per-tensor metadata + rkeys, in layer order.
         tensors: Vec<TensorDesc>,
     },
-    /// Incremental `DO_CHECKPOINT`: pull only the tensors flagged dirty;
-    /// carry the rest over from the previous complete version with a
-    /// device-local copy (a Check-N-Run-style extension; see DESIGN.md).
-    DeltaCheckpoint {
-        /// Request id for reply matching.
-        req_id: u64,
-        /// Model to checkpoint.
-        model: String,
-        /// One flag per tensor, in layer order: `true` = changed since
-        /// the last checkpoint.
-        dirty: Vec<bool>,
-    },
-    /// `DO_CHECKPOINT`: pull the model's tensors into PMem.
+    /// `DO_CHECKPOINT`: write a new version of the model into PMem.
     Checkpoint {
         /// Request id for reply matching.
         req_id: u64,
         /// Model to checkpoint.
         model: String,
+        /// One flag per tensor, in layer order: `true` = changed since
+        /// the last checkpoint. Only flagged tensors cross the fabric;
+        /// the rest are carried over from the previous complete version
+        /// with a device-local copy (a Check-N-Run-style extension; see
+        /// DESIGN.md). `None` pulls every tensor.
+        dirty: Option<Vec<bool>>,
     },
     /// Push a complete checkpoint back into freshly registered GPU
     /// regions.
@@ -129,7 +123,6 @@ impl Request {
     pub fn req_id(&self) -> Option<u64> {
         match self {
             Request::Register { req_id, .. }
-            | Request::DeltaCheckpoint { req_id, .. }
             | Request::Checkpoint { req_id, .. }
             | Request::Restore { req_id, .. }
             | Request::MarkComplete { req_id, .. }
@@ -138,6 +131,15 @@ impl Request {
             | Request::Stats { req_id } => Some(*req_id),
             Request::Disconnect => None,
         }
+    }
+}
+
+/// The trace op of a checkpoint write: a write with a dirty mask is a
+/// delta, one without pulls the whole model.
+pub(crate) fn write_op(dirty: Option<&[bool]>) -> TraceOp {
+    match dirty {
+        None => TraceOp::Checkpoint,
+        Some(_) => TraceOp::DeltaCheckpoint,
     }
 }
 
@@ -188,7 +190,7 @@ impl ModelSummary {
 }
 
 /// Daemon → client messages.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub enum Reply {
     /// Registration accepted.
     Registered {
@@ -197,27 +199,17 @@ pub enum Reply {
         /// Number of on-PMem checkpoint slots (the double mapping: 2).
         slots: u8,
     },
-    /// An incremental checkpoint version is complete and durable.
-    DeltaDone {
-        /// Echoed request id.
-        req_id: u64,
-        /// The new version number.
-        version: u64,
-        /// Bytes pulled over the fabric (the dirty tensors).
-        pulled_bytes: u64,
-        /// Bytes carried over device-locally from the previous version.
-        copied_bytes: u64,
-        /// Daemon-side virtual time for the operation.
-        elapsed: SimDuration,
-    },
     /// A checkpoint version is complete and durable.
     CheckpointDone {
         /// Echoed request id.
         req_id: u64,
         /// The new version number.
         version: u64,
-        /// Payload bytes pulled.
-        bytes: u64,
+        /// Bytes pulled over the fabric: the dirty tensors, or every
+        /// tensor without a mask or a previous version to carry from.
+        pulled_bytes: u64,
+        /// Bytes carried over device-locally from the previous version.
+        copied_bytes: u64,
         /// Daemon-side virtual time for the operation.
         elapsed: SimDuration,
     },
@@ -258,72 +250,14 @@ pub enum Reply {
         /// snapshot dwarfs every other reply variant).
         metrics: Box<MetricsSnapshot>,
     },
-    /// The request failed; human-readable reason.
-    Error {
+    /// The request failed. The handler's error crosses the channel as
+    /// itself, so the client matches on the same variant the daemon
+    /// raised (a shed request carries [`PortusError::Throttled`]).
+    Failed {
         /// Echoed request id.
         req_id: u64,
         /// What went wrong.
-        message: String,
-    },
-    /// The request failed on the datapath: one or more WQEs exhausted
-    /// their retries. Structured so the client can surface per-tensor
-    /// attribution ([`crate::PortusError::DatapathFailed`]); the daemon
-    /// has already rolled the target slot back.
-    DatapathFailed {
-        /// Echoed request id.
-        req_id: u64,
-        /// The model whose operation failed.
-        model: String,
-        /// Which operation was in flight.
-        op: String,
-        /// The work requests that stayed failed.
-        failures: Vec<crate::VerbFailure>,
-    },
-    /// The request was shed by admission control (token bucket over
-    /// budget) or by a dispatch queue that stayed full past the shed
-    /// wait. Typed overload: the client rebuilds
-    /// [`crate::PortusError::Throttled`] and may honor the retry hint.
-    Throttled {
-        /// Echoed request id.
-        req_id: u64,
-        /// Virtual nanoseconds the daemon suggests waiting before a
-        /// retry (the token bucket's exact deficit, or the configured
-        /// queue-shed hint).
-        retry_after_ns: u64,
-    },
-    /// The request failed because the device cannot hold the checkpoint
-    /// even after the daemon's automatic repack-and-retry. Structured so
-    /// the client can rebuild [`crate::PortusError::OutOfSpace`].
-    OutOfSpace {
-        /// Echoed request id.
-        req_id: u64,
-        /// Bytes the failed allocation asked for.
-        needed: u64,
-        /// Total free bytes at the time of failure.
-        free: u64,
-        /// Largest contiguous free extent at the time of failure.
-        largest_extent: u64,
-    },
-    /// The request failed because every ModelTable entry is live — the
-    /// model catalog has no free slot for a new name. Structured so the
-    /// client can rebuild [`crate::PortusError::CatalogFull`].
-    CatalogFull {
-        /// Echoed request id.
-        req_id: u64,
-        /// Total entries the ModelTable was formatted with.
-        capacity: u32,
-    },
-    /// The stored checkpoint failed its integrity check; nothing was
-    /// pushed. Structured so the client can rebuild
-    /// [`crate::PortusError::ChecksumMismatch`] (which a replicated
-    /// restore fails over on).
-    ChecksumMismatch {
-        /// Echoed request id.
-        req_id: u64,
-        /// The model.
-        model: String,
-        /// The version whose data failed verification.
-        version: u64,
+        error: PortusError,
     },
 }
 
@@ -332,19 +266,13 @@ impl Reply {
     pub fn req_id(&self) -> u64 {
         match self {
             Reply::Registered { req_id, .. }
-            | Reply::DeltaDone { req_id, .. }
             | Reply::CheckpointDone { req_id, .. }
             | Reply::RestoreDone { req_id, .. }
             | Reply::Completed { req_id }
             | Reply::Dropped { req_id }
             | Reply::Models { req_id, .. }
             | Reply::Stats { req_id, .. }
-            | Reply::Error { req_id, .. }
-            | Reply::DatapathFailed { req_id, .. }
-            | Reply::Throttled { req_id, .. }
-            | Reply::OutOfSpace { req_id, .. }
-            | Reply::CatalogFull { req_id, .. }
-            | Reply::ChecksumMismatch { req_id, .. } => *req_id,
+            | Reply::Failed { req_id, .. } => *req_id,
         }
     }
 }
@@ -370,21 +298,17 @@ mod tests {
         let r = Reply::CheckpointDone {
             req_id: 42,
             version: 1,
-            bytes: 10,
+            pulled_bytes: 10,
+            copied_bytes: 0,
             elapsed: SimDuration::ZERO,
         };
         assert_eq!(r.req_id(), 42);
         assert_eq!(Reply::Dropped { req_id: 9 }.req_id(), 9);
-        let oos = Reply::OutOfSpace {
-            req_id: 11,
-            needed: 1,
-            free: 0,
-            largest_extent: 0,
-        };
-        assert_eq!(oos.req_id(), 11);
-        let throttled = Reply::Throttled {
+        let throttled = Reply::Failed {
             req_id: 13,
-            retry_after_ns: 1_000_000,
+            error: PortusError::Throttled {
+                retry_after_ns: 1_000_000,
+            },
         };
         assert_eq!(throttled.req_id(), 13);
     }
@@ -395,7 +319,8 @@ mod tests {
         assert_eq!(
             Request::Checkpoint {
                 req_id: 6,
-                model: "m".into()
+                model: "m".into(),
+                dirty: None,
             }
             .req_id(),
             Some(6)

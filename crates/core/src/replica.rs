@@ -350,6 +350,39 @@ mod tests {
     }
 
     #[test]
+    fn pinned_restore_falls_through_a_replica_missing_the_version() {
+        let r = rig(2);
+        let c = client(&r);
+        let spec = test_spec("bert", 4, 4096);
+        let mut model =
+            ModelInstance::materialize(&spec, &r.gpu, 7, Materialization::Owned).expect("model");
+        c.register_model(&model).expect("register");
+        let mut at_v2 = 0;
+        for v in 1..=2 {
+            model.train_step();
+            at_v2 = model.model_checksum();
+            assert_eq!(c.checkpoint("bert").expect("checkpoint").version(), v);
+        }
+        // Replica 0 moves on alone: its double mapping now holds {3, 4}
+        // while replica 1 still holds {1, 2}.
+        for v in 3..=4 {
+            model.train_step();
+            let report = c.replica(0).checkpoint("bert").expect("checkpoint");
+            assert_eq!(report.version, v);
+        }
+        assert_eq!(c.available_versions("bert"), vec![(0, 4), (1, 2)]);
+
+        // Replica 0 ranks first but lacks v2: its typed
+        // `NoValidCheckpoint` must hand the restore on to replica 1.
+        model.train_step();
+        let report = c
+            .restore_version(&model, Some(2))
+            .expect("fall through to replica 1");
+        assert_eq!(report.version, 2);
+        assert_eq!(model.model_checksum(), at_v2);
+    }
+
+    #[test]
     fn degraded_checkpoint_reports_the_failed_replica() {
         let r = rig(2);
         let c = client(&r);

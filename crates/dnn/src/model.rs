@@ -43,14 +43,6 @@ impl ModelSpec {
     pub fn total_bytes(&self) -> u64 {
         self.tensors.iter().map(TensorMeta::size_bytes).sum()
     }
-
-    /// A copy of this spec under a new name (used when sharding).
-    pub fn renamed(&self, name: impl Into<String>) -> ModelSpec {
-        ModelSpec {
-            name: name.into(),
-            tensors: self.tensors.clone(),
-        }
-    }
 }
 
 /// How an instance's tensor bytes are backed on the simulated GPU.

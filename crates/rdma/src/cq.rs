@@ -166,11 +166,6 @@ impl PostedQueuePair {
         }
     }
 
-    /// Whether this endpoint posts with deferred clock charging.
-    pub fn is_deferred(&self) -> bool {
-        self.deferred
-    }
-
     fn fresh_wr(&self) -> WrId {
         let mut n = self.next_wr.lock();
         let id = WrId(*n);
@@ -237,27 +232,6 @@ impl PostedQueuePair {
         }
         self.cq.push(WorkCompletion { wr_id, result });
         wr_id
-    }
-
-    /// Posts a one-sided WRITE; the outcome lands on the completion
-    /// queue. Returns the work-request id immediately.
-    pub fn post_write(
-        &self,
-        rkey: u64,
-        remote_off: u64,
-        src: &RegionTarget,
-        src_off: u64,
-        len: u64,
-    ) -> WrId {
-        self.post_write_scatter(
-            &[SgEntry {
-                rkey,
-                offset: remote_off,
-                len,
-            }],
-            src,
-            src_off,
-        )
     }
 
     /// Posts a one-sided scatter WRITE over `segs` (one WQE, sourced

@@ -418,11 +418,6 @@ impl CostModel {
             + SimDuration::from_secs_f64(bytes as f64 / self.mr_register_bw)
     }
 
-    /// Flushing `lines` cache lines plus one fence.
-    pub fn persist_lines(&self, lines: u64) -> SimDuration {
-        SimDuration::from_nanos(self.clwb_ns * lines + self.sfence_ns)
-    }
-
     /// Penalty paid by a verb that lands on a NIC DMA engine which is
     /// already busy at post time (see
     /// [`nic_engine_contention_ns`](CostModel::nic_engine_contention_ns)).

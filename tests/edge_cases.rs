@@ -1,9 +1,9 @@
 //! Edge cases across the stack: degenerate models, capacity limits,
-//! and contended same-model operations.
+//! contended same-model operations, and typed errors over the wire.
 
 use std::sync::Arc;
 
-use portus::{DaemonConfig, PortusClient, PortusDaemon, PortusError};
+use portus::{repack, DaemonConfig, PortusClient, PortusDaemon, PortusError, TenantQos};
 use portus_dnn::{test_spec, DType, Materialization, ModelInstance, ModelSpec, TensorMeta};
 use portus_mem::GpuDevice;
 use portus_pmem::{PmemDevice, PmemMode};
@@ -170,5 +170,108 @@ fn checkpoint_restore_checkpoint_interleaving() {
         assert_eq!(r.version, v);
         let rr = client.restore(&model).unwrap();
         assert_eq!(rr.version, v);
+    }
+}
+
+/// The model every typed-error case registers.
+const TYPED: &str = "typed";
+
+/// A fresh daemon with a client connected and a two-layer `TYPED`
+/// model (128 KiB) registered.
+fn registered(cfg: DaemonConfig) -> (World, PortusClient, ModelInstance) {
+    let w = world(cfg, 32 << 20);
+    let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
+    let spec = test_spec(TYPED, 2, 64 * 1024);
+    let model = ModelInstance::materialize(&spec, &w.gpu, 1, Materialization::Owned).unwrap();
+    client.register_model(&model).unwrap();
+    (w, client, model)
+}
+
+fn provoke_model_not_found() -> PortusError {
+    let (_w, client, _) = registered(DaemonConfig::default());
+    client.checkpoint("ghost").unwrap_err()
+}
+
+fn provoke_structure_mismatch() -> PortusError {
+    let (_w, client, _) = registered(DaemonConfig::default());
+    client.checkpoint_delta(TYPED, &[true; 3]).unwrap_err()
+}
+
+fn provoke_no_valid_checkpoint() -> PortusError {
+    let (_w, client, model) = registered(DaemonConfig::default());
+    client.restore(&model).unwrap_err()
+}
+
+fn provoke_name_too_long() -> PortusError {
+    let w = world(DaemonConfig::default(), 32 << 20);
+    let client = PortusClient::connect(&w.daemon, w.fabric.nic(NodeId(0)).unwrap());
+    let spec = test_spec(&"x".repeat(300), 1, 4096);
+    let model = ModelInstance::materialize(&spec, &w.gpu, 1, Materialization::Owned).unwrap();
+    client.register_model(&model).unwrap_err()
+}
+
+/// The checkpoint's idle slot is reclaimed, then the heap is filled:
+/// the re-allocation finds nothing even after the daemon's own repack.
+fn provoke_out_of_space() -> PortusError {
+    let (w, client, mut model) = registered(DaemonConfig::default());
+    model.train_step();
+    client.checkpoint(TYPED).unwrap();
+    client.mark_complete(TYPED).unwrap();
+    assert_eq!(repack(&w.daemon, false).unwrap().reclaimed_slots, 1);
+    let alloc = w.daemon.index().allocator();
+    for chunk in [1u64 << 20, 64 << 10, 4 << 10] {
+        while alloc.alloc_aligned(chunk, 4096, 0xF1FF).is_ok() {}
+    }
+    model.train_step();
+    client.checkpoint(TYPED).unwrap_err()
+}
+
+/// A 4 KiB/s byte bucket admits the first 128 KiB checkpoint into
+/// debt and sheds the second.
+fn provoke_throttled() -> PortusError {
+    let mut cfg = DaemonConfig::default();
+    cfg.qos.default_tenant = TenantQos::limited_bytes(4096);
+    let (_w, client, _) = registered(cfg);
+    client.checkpoint(TYPED).unwrap();
+    client.checkpoint(TYPED).unwrap_err()
+}
+
+/// Every handler error crosses the control channel as itself: the
+/// client matches on the variant the daemon raised, never on a
+/// `Daemon(_)` string.
+#[test]
+fn handler_errors_reach_the_client_as_their_own_variant() {
+    type Case = (&'static str, fn() -> PortusError, fn(&PortusError) -> bool);
+    let cases: [Case; 6] = [
+        (
+            "ModelNotFound",
+            provoke_model_not_found,
+            |e| matches!(e, PortusError::ModelNotFound(m) if m == "ghost"),
+        ),
+        ("StructureMismatch", provoke_structure_mismatch, |e| {
+            matches!(e, PortusError::StructureMismatch(_))
+        }),
+        (
+            "NoValidCheckpoint",
+            provoke_no_valid_checkpoint,
+            |e| matches!(e, PortusError::NoValidCheckpoint(m) if m == TYPED),
+        ),
+        ("NameTooLong", provoke_name_too_long, |e| {
+            matches!(e, PortusError::NameTooLong(_))
+        }),
+        (
+            "OutOfSpace",
+            provoke_out_of_space,
+            |e| matches!(e, PortusError::OutOfSpace { needed, free, .. } if free < needed),
+        ),
+        (
+            "Throttled",
+            provoke_throttled,
+            |e| matches!(e, PortusError::Throttled { retry_after_ns } if *retry_after_ns > 0),
+        ),
+    ];
+    for (variant, provoke, is_variant) in cases {
+        let err = provoke();
+        assert!(is_variant(&err), "expected {variant}, got {err:?}");
     }
 }

@@ -109,7 +109,7 @@ fn unknown_model_checkpoint_fails() {
     let d = deploy(64 << 20);
     let client = d.client();
     let err = client.checkpoint("never-registered").unwrap_err();
-    assert!(matches!(err, PortusError::Daemon(_)));
+    assert!(matches!(err, PortusError::ModelNotFound(_)), "got: {err}");
     assert!(err.to_string().contains("not found"), "got: {err}");
 }
 

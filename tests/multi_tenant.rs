@@ -179,6 +179,59 @@ fn token_bucket_decisions_replay_bit_for_bit() {
     assert!(decisions.iter().any(|&d| !d), "no request was ever shed");
 }
 
+/// A delta checkpoint is admitted at its dirty-byte cost, not the
+/// whole model's, and a shed delta is retried under
+/// `set_throttle_retries` exactly like a full checkpoint.
+#[test]
+fn delta_checkpoints_are_admitted_at_dirty_cost_and_retried_when_shed() {
+    const LAYER: u64 = 64 * 1024;
+    let ctx = SimContext::icdcs24();
+    let fabric = Fabric::new(ctx.clone());
+    let nic = fabric.add_nic(NodeId(0));
+    fabric.add_nic(NodeId(1));
+    let pmem = PmemDevice::new(ctx.clone(), PmemMode::DevDax, 64 << 20);
+    let mut cfg = DaemonConfig::default();
+    // A one-layer burst: each two-layer delta is admitted into debt,
+    // and the next is shed until the bucket refills.
+    cfg.qos.default_tenant = TenantQos::limited_bytes(LAYER);
+    let daemon = PortusDaemon::start(&fabric, NodeId(1), pmem, cfg).unwrap();
+    let gpu = GpuDevice::new(ctx.clone(), 0, 1 << 30);
+    let spec = test_spec("sparse", 4, LAYER);
+    let model = ModelInstance::materialize(&spec, &gpu, 1, Materialization::Owned).unwrap();
+    let client = PortusClient::connect(&daemon, nic);
+    client.register_model(&model).unwrap();
+    let mask = [true, false, true, false];
+    let dirty_bytes = 2 * LAYER;
+    let tenant = || client.stats().unwrap().tenant("default").unwrap().clone();
+
+    // The first delta has no version to carry over from, so it pulls
+    // every layer, but it is admitted at its mask's cost.
+    assert_eq!(client.checkpoint_delta("sparse", &mask).unwrap().version, 1);
+    let t = tenant();
+    assert_eq!(t.admitted_bytes, dirty_bytes);
+    assert_eq!(t.throttled_ops, 0);
+
+    // Without a retry budget the shed surfaces as itself.
+    let err = client.checkpoint_delta("sparse", &mask).unwrap_err();
+    assert!(
+        matches!(err, PortusError::Throttled { retry_after_ns } if retry_after_ns > 0),
+        "got: {err}"
+    );
+
+    // With one, the client waits out the hint and the re-sent delta is
+    // admitted at the same dirty cost.
+    client.set_throttle_retries(1);
+    let r = client.checkpoint_delta("sparse", &mask).unwrap();
+    assert_eq!(r.version, 2);
+    assert_eq!(r.pulled_bytes, dirty_bytes);
+    assert_eq!(r.copied_bytes, spec.total_bytes() - dirty_bytes);
+    let t = tenant();
+    assert_eq!(t.admitted_bytes, 2 * dirty_bytes);
+    assert_eq!(t.throttled_ops, 2, "one surfaced shed, one retried shed");
+    drop(client);
+    daemon.shutdown();
+}
+
 /// The antagonist-vs-polite harness: `rounds` polite checkpoints, each
 /// followed by one antagonist attempt when `antagonist` is true.
 /// Returns (polite checkpoint seconds, antagonist admitted bytes,
