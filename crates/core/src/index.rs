@@ -80,10 +80,11 @@ const TREC_MAX_DIMS: usize = 4;
 const TREC_LEN: u64 = 168;
 const TREC_RELOFF: u64 = 176;
 
-/// Superblock format version. Version 2 seals every slot with the
-/// positional digest alone; [`Index::recover`] refuses any other
-/// version rather than misread its headers as corrupt.
-const FORMAT_VERSION: u32 = 2;
+/// Superblock format version. Version 3 seals every slot with the
+/// word-granular positional digest alone (version 2 sealed with the
+/// per-byte digest, whose words no longer verify); [`Index::recover`]
+/// refuses any other version rather than misread its slots as corrupt.
+const FORMAT_VERSION: u32 = 3;
 
 // Slot header fields (relative to the slot header offset). All words
 // live in the header's single 64-byte cache line. Words 16 and 48 are
@@ -1364,24 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn region_digest_tiles_commute() {
-        let data: Vec<u8> = (0..1024u32).map(|i| (i * 7 + 3) as u8).collect();
-        let whole = region_digest(&data, 0);
-        // Any partition into offset-tagged tiles sums to the whole,
-        // regardless of combine order.
-        let a = region_digest(&data[..100], 0);
-        let b = region_digest(&data[100..700], 100);
-        let c = region_digest(&data[700..], 700);
-        assert_eq!(combine_digests(combine_digests(a, b), c), whole);
-        assert_eq!(combine_digests(c, combine_digests(b, a)), whole);
-        // Position matters: the same bytes at a different base differ.
-        assert_ne!(
-            region_digest(&data[..100], 0),
-            region_digest(&data[..100], 4)
-        );
-    }
-
-    #[test]
     fn slot_checksum_reflects_data_and_matches_run_combination() {
         let (dev, index) = fresh();
         let mi = index.create_model("m", &metas(1, 4096)).unwrap();
@@ -1395,19 +1378,33 @@ mod tests {
         assert_eq!(combine_digests(d1, d0), full);
     }
 
-    #[test]
-    fn recover_refuses_an_unknown_format_version() {
+    /// Stamps format version `found` on a fresh image and checks that
+    /// `recover` refuses it as unsupported.
+    fn assert_recover_refuses_format(found: u32) {
         let (dev, index) = fresh();
         index.create_model("m", &metas(1, 64)).unwrap();
         drop(index);
-        typed::write_u32(&dev, 8, 1).unwrap();
+        typed::write_u32(&dev, 8, found).unwrap();
         assert!(matches!(
             Index::recover(dev),
             Err(PortusError::UnsupportedFormat {
-                found: 1,
+                found: f,
                 supported: FORMAT_VERSION
-            })
+            }) if f == found
         ));
+    }
+
+    #[test]
+    fn recover_refuses_an_unknown_format_version() {
+        assert_recover_refuses_format(1);
+    }
+
+    #[test]
+    fn recover_refuses_a_format_2_image() {
+        // Format 2 slots hold per-byte digest words, which the word
+        // digest would report as corrupt.
+        assert_eq!(FORMAT_VERSION, 3);
+        assert_recover_refuses_format(2);
     }
 
     #[test]

@@ -161,7 +161,12 @@ impl MemorySegment {
     /// Positional digest ([`region_digest`]) of the whole content as if
     /// it sat at offset `base` of a larger region, so the digests of
     /// segments laid end to end combine into the region's digest.
+    /// Owned bytes are hashed in place; synthetic content streams
+    /// through a small buffer.
     pub fn digest(&self, base: u64) -> u64 {
+        if let Backing::Owned(v) = &self.backing {
+            return region_digest(v, base);
+        }
         let mut acc = 0u64;
         let mut buf = [0u8; 4096];
         let mut pos = 0u64;
